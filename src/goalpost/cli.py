@@ -32,6 +32,17 @@ def _rational_flag(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r}")
 
 
+def _int_at_least(low: int):
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names the type in "invalid int value"
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goalpost",
@@ -48,9 +59,11 @@ def build_parser() -> argparse.ArgumentParser:
             help="csv is available for pareto and sweep",
         )
         if flags.get("k"):
-            p.add_argument("--k", type=int, required=True)
+            p.add_argument("--k", type=_int_at_least(flags.get("k_min", 0)),
+                           required=True)
         if flags.get("n_lb"):
-            p.add_argument("--n-lb", dest="n_lb", type=int, required=True)
+            p.add_argument("--n-lb", dest="n_lb", type=_int_at_least(0),
+                           required=True)
         if flags.get("epsilon"):
             p.add_argument("--epsilon", type=_rational_flag, required=True)
         if flags.get("delta"):
@@ -60,7 +73,7 @@ def build_parser() -> argparse.ArgumentParser:
         if flags.get("seed"):
             p.add_argument("--seed", type=int, required=True)
         if flags.get("budget"):
-            p.add_argument("--budget", type=int, default=None)
+            p.add_argument("--budget", type=_int_at_least(0), default=None)
         return p
 
     add("solve", "maximum total improvement with at most k targets", k=True)
@@ -70,7 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     add("pareto", "exact frontier of per-group welfare", k=True)
     add("maxmin", "frontier point maximizing the worst group", k=True)
     add("fptas", "near-optimal max-min with per-group capacities",
-        k=True, epsilon=True)
+        k=True, k_min=1, epsilon=True)
     add("fair-approx", "simultaneously near-optimal placement per group", k=True)
     p = add("factor", "best simultaneity factor on the frontier",
             k=True, budget=True)

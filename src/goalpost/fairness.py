@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .errors import (
     BudgetBelowGroupCount,
@@ -238,12 +238,10 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     delta = instance.common_capacity
     split_budget = -(-k // g)
 
-    step1, spaced, sparse, localized, survivors = [], [], [], [], []
-    for gi, agents in enumerate(members):
-        solo = max_total_improvement(
-            instance.isolate_group(gi), split_budget
-        ).targets
-        step1.append(solo)
+    split_optima = group_optima(instance, split_budget)
+    step1 = [solo.targets for solo in split_optima.per_group]
+    spaced, sparse, localized, survivors = [], [], [], []
+    for solo, agents in zip(step1, members):
         if delta > 0:
             spread = prune_every_other(solo, delta)
             sparse_set = distant_targets(spread, agents, delta)
@@ -272,8 +270,8 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     assert len(final) <= k
 
     report = improvement_report(instance, final)
-    alpha_k = simultaneity_factor(instance, final, k)
-    alpha_ceil = simultaneity_factor(instance, final, split_budget)
+    alpha_k = _worst_ratio(report.group_totals, group_optima(instance, k))
+    alpha_ceil = _worst_ratio(report.group_totals, split_optima)
     return ApproxTrace(
         instance,
         k,
@@ -291,6 +289,18 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     )
 
 
+def _worst_ratio(welfare: Sequence[Fraction], optima: GroupOptima) -> Fraction:
+    """Worst over groups of welfare / solo optimum; groups whose solo optimum
+    is 0 count as fully served."""
+    return min(
+        (
+            Fraction(1) if solo.value == 0 else earned / solo.value
+            for earned, solo in zip(welfare, optima.per_group)
+        ),
+        default=Fraction(1),
+    )
+
+
 def simultaneity_factor(
     instance: Instance, targets: TargetSet, budget: int
 ) -> Fraction:
@@ -298,13 +308,7 @@ def simultaneity_factor(
     ``budget``); groups whose solo optimum is 0 count as fully served."""
     validate_instance(instance)
     report = improvement_report(instance, targets)
-    optima = group_optima(instance, budget)
-    factor: Optional[Fraction] = None
-    for earned, solo in zip(report.group_totals, optima.per_group):
-        ratio = Fraction(1) if solo.value == 0 else earned / solo.value
-        if factor is None or ratio < factor:
-            factor = ratio
-    return factor if factor is not None else Fraction(1)
+    return _worst_ratio(report.group_totals, group_optima(instance, budget))
 
 
 def best_simultaneous_on_frontier(
@@ -314,14 +318,7 @@ def best_simultaneous_on_frontier(
     factor at budget ``k``; beats or matches the pipeline's output."""
     frontier = pareto_frontier(instance, k)
     optima = group_optima(instance, k)
-    best: Optional[tuple[Fraction, FrontierPoint]] = None
-    for point in frontier.points:
-        ratios = [
-            Fraction(1) if solo.value == 0 else earned / solo.value
-            for earned, solo in zip(point.welfare, optima.per_group)
-        ]
-        alpha = min(ratios) if ratios else Fraction(1)
-        if best is None or alpha > best[0]:
-            best = (alpha, point)
-    assert best is not None
-    return best
+    return max(
+        ((_worst_ratio(point.welfare, optima), point) for point in frontier.points),
+        key=lambda scored: scored[0],
+    )

@@ -5,26 +5,28 @@ positions may be arbitrary rationals.  Two branches:
 
 * Fewer targets than groups: enumerate every subset of the candidate grid of
   size at most k and return the exact max-min optimum.
-* Otherwise: run the frontier recursion on welfare tuples that are rounded
-  down, coordinate by coordinate, to a per-group step of
-  epsilon * capacity / (16 * k * groups^3).  Rounding merges nearby tuples so
-  the per-state sets stay polynomial, while each stored coordinate
-  undershoots the welfare its witness really achieves by at most k steps.
-  The witness whose rounded worst coordinate is largest is re-evaluated
-  exactly, and that true welfare is returned; it is at least (1 - epsilon)
-  times the optimum.
+* Otherwise: run the shared frontier recursion
+  (:func:`goalpost.pareto.frontier_dp`) on quantized credits.  Each group has
+  a step of epsilon * capacity / (16 * k * groups^3), and every per-group
+  credit in the table is counted in whole steps, rounded down once per cell;
+  a group whose step is 0 keeps its exact credit.  Because stored welfare is
+  always a whole number of steps, adding quantized credits is the same as
+  rounding the running welfare down to the step grid after every target.
+  Rounding merges nearby tuples so the per-state sets stay polynomial, while
+  each stored coordinate undershoots the welfare its witness really achieves
+  by at most k steps.  The witness whose rounded worst coordinate is largest
+  is re-evaluated exactly, and that true welfare is returned; it is at least
+  (1 - epsilon) times the optimum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import floor
 from typing import Optional
 
 from .errors import EpsilonOutOfRange, GroupCapacityNonUniform
 from .model import (
-    EMPTY_TARGETS,
     Instance,
     RationalLike,
     TargetSet,
@@ -32,8 +34,8 @@ from .model import (
     rational,
     validate_instance,
 )
-from .oracle import iter_candidate_sets
-from .pareto import prune_dominated
+from .oracle import max_min_witness
+from .pareto import frontier_dp
 from .tables import ContributionTable
 
 
@@ -89,26 +91,6 @@ class MaxMinApproximation:
     table_peak: int
 
 
-def _round_down(value: Fraction, step: Fraction) -> Fraction:
-    if step == 0:
-        return value
-    return floor(value / step) * step
-
-
-def _exact_small_budget(
-    instance: Instance, k: int, max_subsets: Optional[int]
-) -> MaxMinApproximation:
-    best_low = Fraction(0)
-    best_targets = EMPTY_TARGETS
-    for targets in iter_candidate_sets(instance, k, max_subsets):
-        low = min(improvement_report(instance, targets).group_totals)
-        if low > best_low:
-            best_low = low
-            best_targets = targets
-    welfare = improvement_report(instance, best_targets).group_totals
-    return MaxMinApproximation(best_low, best_targets, welfare, 0)
-
-
 def fptas_max_min(
     instance: Instance,
     k: int,
@@ -123,48 +105,26 @@ def fptas_max_min(
         raise ValueError("k must be at least 1")
     validate_instance(instance)
     params = FptasParams.for_instance(instance, k, epsilon)
-    g = instance.num_groups
-    if k < g:
-        return _exact_small_budget(instance, k, max_subsets)
+    if k < instance.num_groups:
+        value, targets = max_min_witness(instance, k, max_subsets)
+        welfare = improvement_report(instance, targets).group_totals
+        return MaxMinApproximation(value, targets, welfare, 0)
 
     table = ContributionTable(instance, engine="python")
-    m = table.grid_size
-    if m <= 1:
-        zeros = (Fraction(0),) * g
-        return MaxMinApproximation(Fraction(0), EMPTY_TARGETS, zeros, 0)
-    scale = table.scale
-    zero = (Fraction(0),) * g
-    base = {zero: ()}
-    prev = [base] * m
-    peak = 1
-    for _ in range(k):
-        cur: list[dict[tuple[Fraction, ...], tuple[int, ...]]] = [base] * m
-        for i in range(m - 1):
-            merged: dict[tuple[Fraction, ...], tuple[int, ...]] = {}
-            for j in range(i + 1, m):
-                gain = table.group_credit_scaled(i, j)
-                for welfare, chain in prev[j].items():
-                    candidate = tuple(
-                        _round_down(w + Fraction(d, scale), step)
-                        for w, d, step in zip(welfare, gain, params.steps)
-                    )
-                    if candidate not in merged:
-                        merged[candidate] = (j,) + chain
-            pruned = dict(prune_dominated(merged))
-            peak = max(peak, len(pruned))
-            cur[i] = pruned
-        prev = cur
+    # A step is step * scale credit units.  A zero step belongs to a group
+    # whose credits are all 0; it counts raw units to avoid dividing by 0.
+    units = tuple(step * table.scale if step else 1 for step in params.steps)
 
-    best_key = None
-    for welfare in sorted(prev[0]):
-        if best_key is None or min(welfare) > min(best_key):
-            best_key = welfare
-    chain = prev[0][best_key]
-    served = [
-        idx
-        for pos, idx in zip((0,) + chain, chain)
-        if any(table.group_credit_scaled(pos, idx))
+    def quantized(i: int, j: int) -> tuple[int, ...]:
+        return tuple(d // u for d, u in zip(table.group_credit_scaled(i, j), units))
+
+    root, peak = frontier_dp(table, k, quantized)
+    rounded = [
+        (tuple(Fraction(q * u, table.scale) for q, u in zip(key, units)), chain)
+        for key, chain in root.items()
     ]
-    targets = table.chain_targets(served)
+    # Steps differ between groups: pick by the rational tuple, not the counts.
+    best, chain = max(rounded, key=lambda item: min(item[0]))
+    targets = table.served_targets(chain)
     true_low = min(improvement_report(instance, targets).group_totals)
-    return MaxMinApproximation(true_low, targets, best_key, peak)
+    return MaxMinApproximation(true_low, targets, best, peak)

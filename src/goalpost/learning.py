@@ -20,15 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, lcm
+from math import lcm
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptySample, ParameterOutOfRange, SearchSpaceTooLarge
+from .errors import EmptySample, ParameterOutOfRange
 from .model import RationalLike, TargetSet, improvement_at, rational, rational_str
-from .oracle import subset_cap
+from .oracle import capped_subsets
 
 
 @dataclass(frozen=True)
@@ -197,21 +196,6 @@ class DeviationReport:
         }
 
 
-def _candidate_sets(
-    grid: Sequence[Fraction], k: int, max_subsets: Optional[int]
-) -> list[TargetSet]:
-    sizes = range(1, min(k, len(grid)) + 1)
-    total = sum(comb(len(grid), size) for size in sizes)
-    cap = subset_cap(max_subsets)
-    if total > cap:
-        raise SearchSpaceTooLarge(
-            f"{total} candidate target sets exceed the cap of {cap}"
-        )
-    return [
-        TargetSet(subset) for size in sizes for subset in combinations(grid, size)
-    ]
-
-
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
@@ -252,11 +236,7 @@ def deviation_experiment(
         weights = [w * q for w, d in dist.components for _, q in d.support]
         groups = [gi for gi, (_, d) in enumerate(dist.components)
                   for _ in d.support]
-        candidates = _candidate_sets(dist.grid(), k, max_subsets)
-        per_set_expected = [
-            tuple(expected_improvement(d, targets) for _, d in dist.components)
-            for targets in candidates
-        ]
+        components = [d for _, d in dist.components]
     else:
         n = required_samples_single(eps, delta, k, dist.capacity)
         num_groups = 1
@@ -264,10 +244,12 @@ def deviation_experiment(
         capacities = [dist.capacity] * len(positions)
         weights = [q for _, q in dist.support]
         groups = [0] * len(positions)
-        candidates = _candidate_sets(dist.grid(), k, max_subsets)
-        per_set_expected = [
-            (expected_improvement(dist, targets),) for targets in candidates
-        ]
+        components = [dist]
+    candidates = list(capped_subsets(dist.grid(), k, max_subsets, min_size=1))
+    per_set_expected = [
+        tuple(expected_improvement(d, targets) for d in components)
+        for targets in candidates
+    ]
 
     num_outcomes = len(weights)
     per_set_gains = [

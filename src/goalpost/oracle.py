@@ -14,11 +14,12 @@ import os
 from fractions import Fraction
 from itertools import combinations
 from math import comb
-from typing import Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
-from .errors import SearchSpaceTooLarge
+from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 from .model import (
     EMPTY_TARGETS,
+    ImprovementReport,
     Instance,
     TargetSet,
     improvement_report,
@@ -33,19 +34,27 @@ MAX_SUBSETS_ENV = "GOALPOST_MAX_SUBSETS"
 
 
 def subset_cap(override: Optional[int] = None) -> int:
-    if override is not None:
-        return override
-    env = os.environ.get(MAX_SUBSETS_ENV)
-    return int(env) if env else DEFAULT_MAX_SUBSETS
+    """The enumeration cap: ``override``, else the environment, else 2e6."""
+    text = str(override) if override is not None else os.environ.get(MAX_SUBSETS_ENV)
+    if not text:
+        return DEFAULT_MAX_SUBSETS
+    if not text.isdecimal():
+        raise ParameterOutOfRange(
+            f"the subset cap ({MAX_SUBSETS_ENV}) must be a non-negative integer, "
+            f"got {text!r}"
+        )
+    return int(text)
 
 
-def iter_candidate_sets(
-    instance: Instance, k: int, max_subsets: Optional[int] = None
+def capped_subsets(
+    grid: Sequence[Fraction],
+    k: int,
+    max_subsets: Optional[int] = None,
+    min_size: int = 0,
 ) -> Iterator[TargetSet]:
-    """All subsets of the potential-target grid of size 0..k, smallest first."""
-    validate_instance(instance)
-    grid = potential_targets(instance).levels
-    sizes = range(min(k, len(grid)) + 1)
+    """All subsets of ``grid`` of size min_size..k, smallest first; refuses
+    before yielding anything when there are more than the cap."""
+    sizes = range(min_size, min(k, len(grid)) + 1)
     total = sum(comb(len(grid), size) for size in sizes)
     cap = subset_cap(max_subsets)
     if total > cap:
@@ -57,18 +66,44 @@ def iter_candidate_sets(
             yield TargetSet(subset)
 
 
+def iter_candidate_sets(
+    instance: Instance, k: int, max_subsets: Optional[int] = None
+) -> Iterator[TargetSet]:
+    """All subsets of the potential-target grid of size 0..k, smallest first."""
+    validate_instance(instance)
+    return capped_subsets(potential_targets(instance).levels, k, max_subsets)
+
+
+def _candidate_reports(
+    instance: Instance, k: int, max_subsets: Optional[int]
+) -> Iterator[tuple[TargetSet, ImprovementReport]]:
+    for targets in iter_candidate_sets(instance, k, max_subsets):
+        yield targets, improvement_report(instance, targets)
+
+
+def _best(
+    instance: Instance,
+    k: int,
+    max_subsets: Optional[int],
+    score: Callable[[ImprovementReport], Fraction],
+) -> tuple[Fraction, TargetSet]:
+    """Highest score and the first set reaching it; 0 and the empty set when
+    no set scores above 0."""
+    best_value = Fraction(0)
+    best_targets = EMPTY_TARGETS
+    for targets, report in _candidate_reports(instance, k, max_subsets):
+        value = score(report)
+        if value > best_value:
+            best_value = value
+            best_targets = targets
+    return best_value, best_targets
+
+
 def brute_force_optimum(
     instance: Instance, k: int, max_subsets: Optional[int] = None
 ) -> DpSolution:
     """Exhaustive maximum total improvement over target sets of size <= k."""
-    best_value = Fraction(0)
-    best_targets = EMPTY_TARGETS
-    for targets in iter_candidate_sets(instance, k, max_subsets):
-        value = improvement_report(instance, targets).total
-        if value > best_value:
-            best_value = value
-            best_targets = targets
-    return DpSolution(best_value, best_targets)
+    return DpSolution(*_best(instance, k, max_subsets, lambda r: r.total))
 
 
 def brute_force_pareto(
@@ -76,23 +111,24 @@ def brute_force_pareto(
 ) -> ParetoFrontier:
     """Exhaustive non-dominated group-welfare tuples, each with a witness set."""
     achieved: dict[tuple[Fraction, ...], TargetSet] = {}
-    for targets in iter_candidate_sets(instance, k, max_subsets):
-        welfare = improvement_report(instance, targets).group_totals
-        achieved.setdefault(welfare, targets)
+    for targets, report in _candidate_reports(instance, k, max_subsets):
+        achieved.setdefault(report.group_totals, targets)
     points = prune_dominated(achieved)
     return ParetoFrontier(
         tuple(FrontierPoint(w, t) for w, t in points), instance.num_groups
     )
 
 
+def max_min_witness(
+    instance: Instance, k: int, max_subsets: Optional[int] = None
+) -> tuple[Fraction, TargetSet]:
+    """Exhaustive maximum over target sets of the minimum group welfare,
+    with the first set attaining it."""
+    return _best(instance, k, max_subsets, lambda r: min(r.group_totals))
+
+
 def brute_force_max_min(
     instance: Instance, k: int, max_subsets: Optional[int] = None
 ) -> Fraction:
     """Exhaustive maximum over target sets of the minimum group welfare."""
-    best = Fraction(0)
-    for targets in iter_candidate_sets(instance, k, max_subsets):
-        welfare = improvement_report(instance, targets).group_totals
-        low = min(welfare) if welfare else Fraction(0)
-        if low > best:
-            best = low
-    return best
+    return max_min_witness(instance, k, max_subsets)[0]

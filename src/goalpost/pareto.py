@@ -7,6 +7,10 @@ targets.  Dominated tuples are discarded at every state, not just at the
 root: tuples compose additively along transitions, so dominance is preserved
 and the per-state sets stay within their pseudo-polynomial bound.
 
+The recursion, :func:`frontier_dp`, works on integer tuples from any per-cell
+gain; the exact frontier feeds it scaled group credits, and the max-min
+approximation scheme feeds it credits quantized to whole rounding steps.
+
 The exact DP requires integral positions and capacities; rational instances
 should be rescaled by the caller or routed to the max-min approximation
 scheme instead.
@@ -16,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional
+from typing import Callable, Mapping, Optional
 
 from .errors import NonIntegralInstance
 from .model import Instance, TargetSet, validate_instance
@@ -73,6 +77,37 @@ def _require_integral(instance: Instance) -> None:
         )
 
 
+def frontier_dp(
+    table: ContributionTable, k: int, gain: Callable[[int, int], tuple[int, ...]]
+) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
+    """The frontier recursion over integer per-group tuples.
+
+    ``gain(i, j)`` is the tuple a target at level ``j`` adds when it is the
+    lowest one at or above level ``i``; it is read once per cell.  Returns the
+    root state, non-dominated tuples mapped to their witness index chains in
+    lexicographic order, and the size of the largest pruned state.
+    """
+    m = table.grid_size
+    gains = [[gain(i, j) for j in range(i + 1, m)] for i in range(m - 1)]
+    base = {(0,) * table.instance.num_groups: ()}
+    # An empty grid still has the empty chain at its root.
+    prev = [base] * max(m, 1)
+    peak = 0
+    for _ in range(k):
+        cur: list[dict[tuple[int, ...], tuple[int, ...]]] = [base] * len(prev)
+        for i in range(m - 1):
+            merged: dict[tuple[int, ...], tuple[int, ...]] = {}
+            for j, added in enumerate(gains[i], i + 1):
+                for welfare, chain in prev[j].items():
+                    candidate = tuple(w + d for w, d in zip(welfare, added))
+                    if candidate not in merged:
+                        merged[candidate] = (j,) + chain
+            cur[i] = dict(prune_dominated(merged))
+            peak = max(peak, len(cur[i]))
+        prev = cur
+    return prev[0], peak
+
+
 def pareto_frontier(
     instance: Instance, k: int, *, table: Optional[ContributionTable] = None
 ) -> ParetoFrontier:
@@ -84,40 +119,15 @@ def pareto_frontier(
     _require_integral(instance)
     if table is None:
         table = ContributionTable(instance, engine="python")
-    m = table.grid_size
-    g = instance.num_groups
-    zero = (0,) * g
-    if m <= 1 or k == 0:
-        return ParetoFrontier(
-            (FrontierPoint((Fraction(0),) * g, TargetSet(())),), g
+    root, _ = frontier_dp(table, k, table.group_credit_scaled)
+    points = tuple(
+        FrontierPoint(
+            tuple(table.to_fraction(w) for w in welfare),
+            table.served_targets(chain),
         )
-
-    # States hold scaled-integer tuples mapped to witness index chains.
-    base = {zero: ()}
-    prev = [base] * m
-    for _ in range(k):
-        cur: list[dict[tuple[int, ...], tuple[int, ...]]] = [base] * m
-        for i in range(m - 1):
-            merged: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for j in range(i + 1, m):
-                gain = table.group_credit_scaled(i, j)
-                for welfare, chain in prev[j].items():
-                    candidate = tuple(w + d for w, d in zip(welfare, gain))
-                    if candidate not in merged:
-                        merged[candidate] = (j,) + chain
-            cur[i] = dict(prune_dominated(merged))
-        prev = cur
-
-    points = []
-    for welfare, chain in sorted(prev[0].items()):
-        exact = tuple(table.to_fraction(w) for w in welfare)
-        served = [
-            idx
-            for pos, idx in zip((0,) + chain, chain)
-            if any(table.group_credit_scaled(pos, idx))
-        ]
-        points.append(FrontierPoint(exact, table.chain_targets(served)))
-    return ParetoFrontier(tuple(points), g)
+        for welfare, chain in root.items()
+    )
+    return ParetoFrontier(points, instance.num_groups)
 
 
 def max_min_solution(
@@ -128,8 +138,5 @@ def max_min_solution(
     Ties resolve to the lexicographically smallest welfare tuple.
     """
     frontier = pareto_frontier(instance, k, table=table)
-    best = frontier.points[0]
-    for point in frontier.points[1:]:
-        if point.min_welfare > best.min_welfare:
-            best = point
+    best = max(frontier.points, key=lambda point: point.min_welfare)
     return best.min_welfare, best

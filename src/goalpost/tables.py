@@ -169,5 +169,11 @@ class ContributionTable:
     def to_fraction(self, scaled: int) -> Fraction:
         return Fraction(int(scaled), self.scale)
 
-    def chain_targets(self, indices: Sequence[int]) -> TargetSet:
-        return TargetSet(tuple(self.levels[i] for i in indices))
+    def served_targets(self, chain: Sequence[int]) -> TargetSet:
+        """Levels of a DP index chain read up from level 0, dropping the
+        targets that no agent moves to."""
+        return TargetSet(tuple(
+            self.levels[j]
+            for prev, j in zip((0, *chain), chain)
+            if self.credit_scaled(prev, j) > 0
+        ))

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -94,22 +94,18 @@ def _dp_rows_numpy(table: ContributionTable, k: int):
     return values, choices
 
 
-def _reconstruct(table: ContributionTable, values, choices, k: int) -> TargetSet:
-    """Follow the stored choices from the root, keeping targets with credit."""
-    m = table.grid_size
-    picked: list[int] = []
-    i = 0
-    budget = k
-    while budget >= 1 and i < m - 1:
-        pick = choices[budget - 1][i]
-        j = int(pick) if pick is not None else -1
-        if j <= i:
-            break
-        if table.credit_scaled(i, j) > 0:
-            picked.append(j)
-        i = j
+def _reconstruct(
+    table: ContributionTable, choices, budget: int, chain: Sequence[int] = ()
+) -> TargetSet:
+    """Extend the index chain placed so far from the root by following the
+    stored choices with ``budget`` targets left; keep the targets with credit."""
+    chain = list(chain)
+    i = chain[-1] if chain else 0
+    while budget >= 1 and i < table.grid_size - 1:
+        i = int(choices[budget - 1][i])
+        chain.append(i)
         budget -= 1
-    return table.chain_targets(picked)
+    return table.served_targets(chain)
 
 
 def max_total_improvement(
@@ -134,7 +130,7 @@ def max_total_improvement(
     rows = _dp_rows_numpy if table.engine == "numpy" else _dp_rows_python
     values, choices = rows(table, k)
     value = table.to_fraction(int(values[k][0]))
-    targets = _reconstruct(table, values, choices, k)
+    targets = _reconstruct(table, choices, k)
     return DpSolution(value, targets)
 
 
@@ -160,7 +156,7 @@ def optimal_target_count_sweep(
             BudgetPoint(
                 k,
                 table.to_fraction(int(values[k][0])),
-                _reconstruct(table, values, choices, k),
+                _reconstruct(table, choices, k),
             )
         )
     best = entries[-1].value
@@ -230,21 +226,16 @@ def max_total_with_min_improvers(
     root = values[k][n_lb][0]
     if root is NEG:
         return None
-    # Reconstruct, switching to the unconstrained chain once the bound is met.
-    picked: list[int] = []
+    # Follow the constrained choices until the bound is met, then the free ones.
+    chain: list[int] = []
     i = 0
     budget = k
     eta = n_lb
-    while budget >= 1 and i < m - 1:
-        if eta >= 1:
-            j = choices[budget - 1][eta][i]
-        else:
-            j = free_choices[budget - 1][i]
-        if j is None or j <= i:
-            break
-        if table.credit_scaled(i, j) > 0:
-            picked.append(j)
-        eta = max(0, eta - table.reach_count(i, j))
+    while eta >= 1:
+        j = choices[budget - 1][eta][i]
+        chain.append(j)
+        eta -= table.reach_count(i, j)
         i = j
         budget -= 1
-    return DpSolution(table.to_fraction(root), table.chain_targets(picked))
+    targets = _reconstruct(table, free_choices, budget, chain)
+    return DpSolution(table.to_fraction(root), targets)

@@ -363,3 +363,32 @@ def test_field_precise_parse_errors(capsys, tmp_path):
     code, payload = run_json(capsys, "solve", "--instance", path, "--k", "1")
     assert code == 1
     assert "agents[1].capacity" in payload["detail"]
+
+
+def test_out_of_range_counts_are_usage_errors(capsys):
+    cases = [
+        ["solve", "--k", "-1"],
+        ["sweep", "--k", "-1"],
+        ["solve-lb", "--k", "-1", "--n-lb", "1"],
+        ["solve-lb", "--k", "1", "--n-lb", "-1"],
+        ["pareto", "--k", "-1"],
+        ["maxmin", "--k", "-1"],
+        ["factor", "--k", "-1"],
+        ["factor", "--k", "1", "--budget", "-1"],
+        ["fptas", "--k", "0", "--epsilon", "1/2"],
+        ["oracle", "--k", "-1"],
+    ]
+    for argv in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--instance", TWO_GROUPS])
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().out == "", argv
+
+
+def test_bad_subset_cap_environment_is_an_error_envelope(capsys, monkeypatch):
+    for value in ("abc", "-5", "1.5"):
+        monkeypatch.setenv("GOALPOST_MAX_SUBSETS", value)
+        code, payload = run_json(capsys, "oracle", "--instance", CLUSTER, "--k", "2")
+        assert code == 1, value
+        assert payload["error"] == "ParameterOutOfRange", value
+        assert "GOALPOST_MAX_SUBSETS" in payload["detail"]

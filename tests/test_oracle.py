@@ -14,7 +14,7 @@ from goalpost import (
     improvement_report,
     iter_candidate_sets,
 )
-from goalpost.errors import SearchSpaceTooLarge
+from goalpost.errors import ParameterOutOfRange, SearchSpaceTooLarge
 from helpers import random_integral_instance
 
 
@@ -58,6 +58,19 @@ def test_cap_override_via_environment(monkeypatch):
         list(iter_candidate_sets(inst, 2))
     monkeypatch.delenv("GOALPOST_MAX_SUBSETS")
     assert list(iter_candidate_sets(inst, 2))
+
+
+def test_cap_must_be_a_non_negative_integer(monkeypatch):
+    inst = Instance.common([0, 1], 1)
+    with pytest.raises(ParameterOutOfRange):
+        brute_force_optimum(inst, 1, max_subsets=-1)
+    for value in ("abc", "-5", "2.5"):
+        monkeypatch.setenv("GOALPOST_MAX_SUBSETS", value)
+        with pytest.raises(ParameterOutOfRange):
+            list(iter_candidate_sets(inst, 1))
+    monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "0")
+    with pytest.raises(SearchSpaceTooLarge):
+        list(iter_candidate_sets(inst, 1))
 
 
 def test_candidate_sets_cover_all_sizes():
