@@ -110,7 +110,7 @@ def fptas_max_min(
         welfare = improvement_report(instance, targets).group_totals
         return MaxMinApproximation(value, targets, welfare, 0)
 
-    table = ContributionTable(instance, engine="python")
+    table = ContributionTable(instance)
     # A step is step * scale credit units.  A zero step belongs to a group
     # whose credits are all 0; it counts raw units to avoid dividing by 0.
     units = tuple(step * table.scale if step else 1 for step in params.steps)

@@ -21,7 +21,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence, Union
+from typing import Callable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -110,6 +110,14 @@ def _check_positive(name: str, value: Fraction) -> None:
         raise ParameterOutOfRange(f"{name} must be positive, got {value}")
 
 
+def _sample_count(bound: Callable[[], float]) -> int:
+    """``max(1, ceil(bound()))``; a bound that overflows a float is out of range."""
+    try:
+        return max(1, math.ceil(bound()))
+    except OverflowError:
+        raise ParameterOutOfRange("the sample bound overflows a float") from None
+
+
 def required_samples_single(
     epsilon: RationalLike,
     delta: RationalLike,
@@ -125,8 +133,9 @@ def required_samples_single(
         raise ParameterOutOfRange(f"k must be at least 1, got {k}")
     if dmax < 0:
         raise ParameterOutOfRange("delta_max must be non-negative")
-    bound = float(eps**-2 * dmax**2) * (k * math.log(k) + math.log(1 / dlt))
-    return max(1, math.ceil(bound))
+    return _sample_count(
+        lambda: float(eps**-2 * dmax**2) * (k * math.log(k) + math.log(1 / dlt))
+    )
 
 
 def required_samples_groups(
@@ -151,10 +160,13 @@ def required_samples_groups(
         raise ParameterOutOfRange(f"alpha_min must lie in (0, 1], got {amin}")
     if dmax < 0:
         raise ParameterOutOfRange("delta_max must be non-negative")
-    log_term = math.log(float(2 * g / dlt))
-    inner = float(eps**-2 * dmax**2) * (k * math.log(k) + log_term) + 4 * log_term
-    bound = float(2 / amin) * inner
-    return max(1, math.ceil(bound))
+
+    def bound() -> float:
+        log_term = math.log(float(2 * g / dlt))
+        inner = float(eps**-2 * dmax**2) * (k * math.log(k) + log_term) + 4 * log_term
+        return float(2 / amin) * inner
+
+    return _sample_count(bound)
 
 
 def expected_improvement(dist: PositionDistribution, targets: TargetSet) -> Fraction:

@@ -118,7 +118,7 @@ def pareto_frontier(
     validate_instance(instance)
     _require_integral(instance)
     if table is None:
-        table = ContributionTable(instance, engine="python")
+        table = ContributionTable(instance)
     root, _ = frontier_dp(table, k, table.group_credit_scaled)
     points = tuple(
         FrontierPoint(

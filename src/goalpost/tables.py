@@ -9,15 +9,14 @@ when it is the lowest target at or above level ``i``: the sum of
 the matching head counts.
 
 Internally everything is integer: positions and capacities are rescaled by
-the least common denominator, so credits are exact machine integers.  Large
-grids use int64 numpy arrays (guarded against overflow); small grids or
-oversized values fall back to plain Python integers.  Both representations
-are exact, deterministic, and immutable once built.
+the least common denominator, so credits are exact.  There is one numpy
+build with two dtypes: int64 when every sum is guarded against overflow, and
+``object`` (exact Python integers) when values are too large for that.  Both
+are exact, deterministic, and read-only once built.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Sequence
@@ -28,8 +27,6 @@ from .model import Instance, TargetSet, potential_targets
 
 # Keep headroom: DP candidates add two table entries plus a running value.
 _INT64_SAFE = 1 << 60
-# Below this grid size the pure-Python build is already instantaneous.
-_NUMPY_MIN_GRID = 64
 
 
 class ContributionTable:
@@ -38,6 +35,11 @@ class ContributionTable:
     Attributes:
         levels: sorted candidate target levels (exact rationals).
         scale: common denominator used for the integer representation.
+        engine: ``"numpy"`` for int64 arrays, ``"python"`` for exact
+            object-dtype arrays; ``"auto"`` picks int64 whenever it is safe.
+        credits, counts: ``(m, m)`` scaled credit and head count of a target
+            at level ``j`` that is the lowest one at or above level ``i``.
+        group_credits: ``(g, m, m)`` scaled credit split by group.
     """
 
     def __init__(self, instance: Instance, engine: str = "auto"):
@@ -57,83 +59,34 @@ class ContributionTable:
         if engine == "numpy" and not int64_ok:
             raise ValueError("instance values too large for the int64 engine")
         if engine == "auto":
-            engine = (
-                "numpy"
-                if int64_ok and len(self.levels) >= _NUMPY_MIN_GRID
-                else "python"
-            )
+            engine = "numpy" if int64_ok else "python"
         self.engine = engine
-        if engine == "numpy":
-            self._build_numpy()
-        else:
-            self._build_python()
+        self._build(np.int64 if engine == "numpy" else object)
 
     # -- construction ------------------------------------------------------
 
-    def _agent_columns(self):
-        """Scaled positions, reaches, group labels, and grid bucket per agent."""
-        pos, reach, grp, bucket = [], [], [], []
-        for a in self.instance.agents:
-            p = int(a.position * self.scale)
-            pos.append(p)
-            reach.append(p + int(a.capacity * self.scale))
-            grp.append(a.group)
-            bucket.append(bisect_left(self._scaled_levels, p))
-        return pos, reach, grp, bucket
-
-    def _build_python(self) -> None:
+    def _build(self, dtype) -> None:
         m = len(self.levels)
-        g = self.instance.num_groups
-        pos, reach, grp, bucket = self._agent_columns()
-        self._credit = [[0] * m for _ in range(m)]
-        self._count = [[0] * m for _ in range(m)]
-        self._group_credit = [[[0] * g for _ in range(m)] for _ in range(m)]
-        for j, tj in enumerate(self._scaled_levels):
-            col_credit = [0] * m
-            col_count = [0] * m
-            col_group = [[0] * g for _ in range(m)]
-            for p, r, gi, b in zip(pos, reach, grp, bucket):
-                if p < tj <= r:
-                    gain = tj - p
-                    col_credit[b] += gain
-                    col_count[b] += 1
-                    col_group[b][gi] += gain
-            run_credit = 0
-            run_count = 0
-            run_group = [0] * g
-            # Suffix sums: row i aggregates agents from level i upward.
-            for i in range(m - 1, -1, -1):
-                run_credit += col_credit[i]
-                run_count += col_count[i]
-                for gi in range(g):
-                    run_group[gi] += col_group[i][gi]
-                self._credit[i][j] = run_credit
-                self._count[i][j] = run_count
-                self._group_credit[i][j] = run_group.copy()
-
-    def _build_numpy(self) -> None:
-        m = len(self.levels)
-        g = self.instance.num_groups
-        pos, reach, grp, bucket = self._agent_columns()
-        tps = np.asarray(self._scaled_levels, dtype=np.int64)
-        p = np.asarray(pos, dtype=np.int64)
-        r = np.asarray(reach, dtype=np.int64)
-        b = np.asarray(bucket, dtype=np.intp)
-        gi = np.asarray(grp, dtype=np.intp)
+        agents = self.instance.agents
+        tps = np.asarray(self._scaled_levels, dtype=dtype)
+        p = np.asarray([int(a.position * self.scale) for a in agents], dtype=dtype)
+        r = p + np.asarray([int(a.capacity * self.scale) for a in agents], dtype=dtype)
+        gi = np.asarray([a.group for a in agents], dtype=np.intp)
         mask = (p[:, None] < tps[None, :]) & (tps[None, :] <= r[:, None])
         gains = np.where(mask, tps[None, :] - p[:, None], 0)
+        # Each agent is counted in the row of its own level (its grid bucket).
+        rows = np.broadcast_to(np.searchsorted(tps, p)[:, None], gains.shape)
         cols = np.broadcast_to(np.arange(m, dtype=np.intp), gains.shape)
-        credit = np.zeros((m, m), dtype=np.int64)
         count = np.zeros((m, m), dtype=np.int64)
-        np.add.at(credit, (b[:, None], cols), gains)
-        np.add.at(count, (b[:, None], cols), mask.astype(np.int64))
-        group_credit = np.zeros((g, m, m), dtype=np.int64)
-        rows = np.broadcast_to(b[:, None], gains.shape)
+        np.add.at(count, (rows, cols), mask.astype(np.int64))
+        group_credit = np.zeros((self.instance.num_groups, m, m), dtype=dtype)
         np.add.at(group_credit, (np.broadcast_to(gi[:, None], gains.shape), rows, cols), gains)
         # Suffix-sum down the rows so entry [i, j] covers agents at or above level i.
-        self._credit = np.cumsum(credit[::-1], axis=0)[::-1]
-        self._count = np.cumsum(count[::-1], axis=0)[::-1]
-        self._group_credit = np.cumsum(group_credit[:, ::-1, :], axis=1)[:, ::-1, :]
+        self.counts = np.cumsum(count[::-1], axis=0)[::-1]
+        self.group_credits = np.cumsum(group_credit[:, ::-1, :], axis=1)[:, ::-1, :]
+        self.credits = self.group_credits.sum(axis=0)
+        for table in (self.credits, self.counts, self.group_credits):
+            table.flags.writeable = False
 
     # -- access ------------------------------------------------------------
 
@@ -141,27 +94,17 @@ class ContributionTable:
     def grid_size(self) -> int:
         return len(self.levels)
 
-    def credit_matrix(self):
-        """The full scaled credit table in the backend's native representation."""
-        return self._credit
-
     def credit_scaled(self, i: int, j: int) -> int:
-        if self.engine == "numpy":
-            return int(self._credit[i, j])
-        return self._credit[i][j]
+        return int(self.credits[i, j])
 
     def credit(self, i: int, j: int) -> Fraction:
         return Fraction(self.credit_scaled(i, j), self.scale)
 
     def reach_count(self, i: int, j: int) -> int:
-        if self.engine == "numpy":
-            return int(self._count[i, j])
-        return self._count[i][j]
+        return int(self.counts[i, j])
 
     def group_credit_scaled(self, i: int, j: int) -> tuple[int, ...]:
-        if self.engine == "numpy":
-            return tuple(int(v) for v in self._group_credit[:, i, j])
-        return tuple(self._group_credit[i][j])
+        return tuple(self.group_credits[:, i, j].tolist())
 
     def group_credit(self, i: int, j: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.scale) for v in self.group_credit_scaled(i, j))

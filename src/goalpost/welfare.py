@@ -9,21 +9,20 @@ recurses on ``(j, budget - 1)``.  Ties always resolve to the lowest level, so
 outputs are deterministic; targets that end up serving nobody are dropped
 from the returned set (the budget is "at most k").
 
-Two engines produce identical results: a vectorized int64 engine for large
-grids and a plain-Python integer engine otherwise.  Both are exact.
-
 The lower-bound variant threads a third coordinate through the same
-recursion: how many agents must still improve.  Each transition subtracts
-the head count reaching the chosen lowest target; exhausted (non-positive)
-bounds delegate to the unconstrained table, and unsatisfiable states carry
-minus infinity.
+recursion: ``eta``, how many agents must still improve.  Each transition
+subtracts the head count reaching the chosen lowest target, floored at 0;
+once ``eta`` reaches 0 the state is an unconstrained one.  So a single DP
+serves both: the welfare solve is its ``eta = 0`` layer, and unsatisfiable
+states carry -1.  It runs on the table's arrays in either dtype (int64 or
+exact object integers), with identical results.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -52,60 +51,60 @@ class BudgetCurve:
     min_k_for_max: int
 
 
-def _dp_rows_python(table: ContributionTable, k: int):
-    """All DP rows up to budget k: values[b][i] scaled, choices[b][i] or None."""
+def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
+    """All DP rows up to budget k.  ``values[b][eta, i]`` is the best scaled
+    improvement above level ``i`` with ``b`` targets when at least ``eta``
+    agents must improve (-1 when impossible); ``choices[b - 1][eta, i]`` is
+    the lowest target it places."""
     m = table.grid_size
-    credit = table.credit_matrix()
-    values = [[0] * m]
-    choices: list[list[Optional[int]]] = []
-    for _ in range(k):
-        prev = values[-1]
-        cur = [0] * m
-        pick: list[Optional[int]] = [None] * m
-        for i in range(m - 1):
-            row = credit[i]
-            best = -1
-            best_j = -1
-            for j in range(i + 1, m):
-                cand = prev[j] + row[j]
-                if cand > best:
-                    best = cand
-                    best_j = j
-            cur[i] = best
-            pick[i] = best_j
-        values.append(cur)
-        choices.append(pick)
-    return values, choices
-
-
-def _dp_rows_numpy(table: ContributionTable, k: int):
-    m = table.grid_size
-    credit = table.credit_matrix()
+    credit, count = table.credits, table.counts
     upper = np.arange(m)[None, :] > np.arange(m)[:, None]
-    values = [np.zeros(m, dtype=np.int64)]
+    cols = np.arange(m)[None, :]
+    first = np.full((n_lb + 1, m), -1, dtype=credit.dtype)
+    first[0] = 0
+    values = [first]
     choices = []
     for _ in range(k):
-        cand = np.where(upper, credit + values[-1][None, :], np.int64(-1))
-        cur = cand.max(axis=1)
-        pick = cand.argmax(axis=1)
-        cur[m - 1] = 0  # topmost level: nothing above it to place
+        prev = values[-1]
+        cur = np.empty_like(prev)
+        pick = np.empty((n_lb + 1, m), dtype=np.intp)
+        cand = np.where(upper, credit + prev[0][None, :], -1)
+        cur[0], pick[0] = cand.max(axis=1), cand.argmax(axis=1)
+        cur[0, m - 1] = 0  # topmost level: nothing above it to place
+        for eta in range(1, n_lb + 1):
+            tail = prev[np.maximum(eta - count, 0), cols]
+            cand = np.where(upper & (tail >= 0), credit + tail, -1)
+            cur[eta], pick[eta] = cand.max(axis=1), cand.argmax(axis=1)
         values.append(cur)
         choices.append(pick)
     return values, choices
 
 
 def _reconstruct(
-    table: ContributionTable, choices, budget: int, chain: Sequence[int] = ()
+    table: ContributionTable, choices, budget: int, eta: int = 0
 ) -> TargetSet:
-    """Extend the index chain placed so far from the root by following the
-    stored choices with ``budget`` targets left; keep the targets with credit."""
-    chain = list(chain)
-    i = chain[-1] if chain else 0
+    """Follow the stored choices from the root with ``budget`` targets and
+    ``eta`` agents still to improve; keep the targets with credit."""
+    chain = []
+    i = 0
     while budget >= 1 and i < table.grid_size - 1:
-        i = int(choices[budget - 1][i])
-        chain.append(i)
+        j = int(choices[budget - 1][eta, i])
+        eta = max(eta - table.reach_count(i, j), 0)
+        chain.append(j)
+        i = j
         budget -= 1
     return table.served_targets(chain)
+
+
+def _solve(table: ContributionTable, k: int, n_lb: int) -> Optional[DpSolution]:
+    if k == 0 or table.grid_size <= 1:
+        # Nobody can improve: only an empty lower bound is met.
+        return DpSolution(Fraction(0), EMPTY_TARGETS) if n_lb == 0 else None
+    values, choices = _dp_rows(table, k, n_lb)
+    root = int(values[k][n_lb, 0])
+    if root < 0:
+        return None
+    return DpSolution(table.to_fraction(root), _reconstruct(table, choices, k, n_lb))
 
 
 def max_total_improvement(
@@ -125,13 +124,7 @@ def max_total_improvement(
     validate_instance(instance)
     if table is None:
         table = ContributionTable(instance, engine=engine)
-    if k == 0 or table.grid_size <= 1:
-        return DpSolution(Fraction(0), EMPTY_TARGETS)
-    rows = _dp_rows_numpy if table.engine == "numpy" else _dp_rows_python
-    values, choices = rows(table, k)
-    value = table.to_fraction(int(values[k][0]))
-    targets = _reconstruct(table, choices, k)
-    return DpSolution(value, targets)
+    return _solve(table, k, 0)
 
 
 def optimal_target_count_sweep(
@@ -148,14 +141,13 @@ def optimal_target_count_sweep(
             BudgetPoint(k, Fraction(0), EMPTY_TARGETS) for k in range(k_max + 1)
         )
         return BudgetCurve(entries, 0)
-    rows = _dp_rows_numpy if table.engine == "numpy" else _dp_rows_python
-    values, choices = rows(table, k_max)
+    values, choices = _dp_rows(table, k_max)
     entries = []
     for k in range(k_max + 1):
         entries.append(
             BudgetPoint(
                 k,
-                table.to_fraction(int(values[k][0])),
+                table.to_fraction(int(values[k][0, 0])),
                 _reconstruct(table, choices, k),
             )
         )
@@ -180,62 +172,8 @@ def max_total_with_min_improvers(
     if k < 0 or n_lb < 0:
         raise ValueError("k and n_lb must be non-negative")
     validate_instance(instance)
-    if n_lb == 0:
-        return max_total_improvement(instance, k, table=table)
+    if n_lb > instance.size:
+        return None  # more improvers than agents
     if table is None:
-        table = ContributionTable(instance, engine="python")
-    m = table.grid_size
-    if m <= 1 or k == 0:
-        return None  # nobody can improve, but n_lb >= 1
-    # Unconstrained rows serve the delegated (bound exhausted) states.
-    free_values, free_choices = _dp_rows_python(table, k)
-
-    NEG = None  # stands in for minus infinity
-
-    # values[b][eta][i]; eta ranges 1..n_lb (eta <= 0 delegates to free rows).
-    values: list[list[list[Optional[int]]]] = [
-        [[NEG] * m for _ in range(n_lb + 1)]
-    ]
-    choices: list[list[list[Optional[int]]]] = []
-    for b in range(1, k + 1):
-        layer = [[NEG] * m for _ in range(n_lb + 1)]
-        pick_layer: list[list[Optional[int]]] = [
-            [None] * m for _ in range(n_lb + 1)
-        ]
-        for eta in range(1, n_lb + 1):
-            for i in range(m - 1):
-                best: Optional[int] = NEG
-                best_j = None
-                for j in range(i + 1, m):
-                    reached = table.reach_count(i, j)
-                    remaining = eta - reached
-                    if remaining <= 0:
-                        tail: Optional[int] = free_values[b - 1][j]
-                    else:
-                        tail = values[b - 1][remaining][j]
-                    if tail is NEG:
-                        continue
-                    cand = tail + table.credit_scaled(i, j)
-                    if best is NEG or cand > best:
-                        best = cand
-                        best_j = j
-                layer[eta][i] = best
-                pick_layer[eta][i] = best_j
-        values.append(layer)
-        choices.append(pick_layer)
-    root = values[k][n_lb][0]
-    if root is NEG:
-        return None
-    # Follow the constrained choices until the bound is met, then the free ones.
-    chain: list[int] = []
-    i = 0
-    budget = k
-    eta = n_lb
-    while eta >= 1:
-        j = choices[budget - 1][eta][i]
-        chain.append(j)
-        eta -= table.reach_count(i, j)
-        i = j
-        budget -= 1
-    targets = _reconstruct(table, free_choices, budget, chain)
-    return DpSolution(table.to_fraction(root), targets)
+        table = ContributionTable(instance)
+    return _solve(table, k, n_lb)

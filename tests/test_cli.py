@@ -392,3 +392,26 @@ def test_bad_subset_cap_environment_is_an_error_envelope(capsys, monkeypatch):
         assert code == 1, value
         assert payload["error"] == "ParameterOutOfRange", value
         assert "GOALPOST_MAX_SUBSETS" in payload["detail"]
+
+
+def test_learn_bound_overflow_is_an_error_envelope(capsys, tmp_path):
+    huge = str(10**400)
+    single = error_case(tmp_path, "huge.json", {
+        "capacity": huge,
+        "support": [{"position": 0, "probability": "1/2"},
+                    {"position": 1, "probability": "1/2"}],
+    })
+    mixture = error_case(tmp_path, "hugemix.json", {"components": [
+        {"weight": "1/2", "dist": {"capacity": huge, "support": [
+            {"position": 0, "probability": 1}]}},
+        {"weight": "1/2", "dist": {"capacity": 1, "support": [
+            {"position": 1, "probability": 1}]}},
+    ]})
+    for path in (single, mixture):
+        code, payload = run_json(
+            capsys, "learn-bound", "--instance", path, "--k", "2",
+            "--epsilon", "1/2", "--delta", "1/2",
+        )
+        assert code == 1, path
+        assert payload["error"] == "ParameterOutOfRange", path
+

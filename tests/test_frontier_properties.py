@@ -1,7 +1,10 @@
-"""Invariances of the shared frontier DP, checked on small integral instances.
+"""Invariances of the shared DPs, checked on small instances.
 
 ``pareto_frontier`` and ``fptas_max_min`` run the same recursion on exact and
 on quantized credits, so each property is checked on both where it applies.
+The welfare solve is the ``n_lb = 0`` layer of the lower-bound DP, so
+``max_total_improvement`` and ``max_total_with_min_improvers`` are checked
+together, on int64 and on exact object tables.
 """
 
 from fractions import Fraction as F
@@ -11,11 +14,14 @@ from hypothesis import strategies as st
 
 from goalpost import (
     Agent,
+    ContributionTable,
     FptasParams,
     Instance,
     brute_force_max_min,
     fptas_max_min,
     improvement_report,
+    max_total_improvement,
+    max_total_with_min_improvers,
     pareto_frontier,
 )
 
@@ -31,6 +37,17 @@ def grouped_instances(draw, zero_capacity_group: bool = False):
         st.tuples(st.integers(0, 8), st.integers(0, g - 1)), min_size=1, max_size=5
     ))
     return Instance(tuple(Agent(p, caps[gi], gi) for p, gi in members), g)
+
+
+@st.composite
+def rational_instances(draw):
+    """Individual capacities; positions and capacities may be fractions."""
+    positions = st.builds(F, st.integers(0, 12), st.sampled_from([1, 2, 3]))
+    members = draw(st.lists(
+        st.tuples(positions, st.builds(F, st.integers(0, 4), st.sampled_from([1, 2]))),
+        min_size=1, max_size=5,
+    ))
+    return Instance(tuple(Agent(p, c) for p, c in members), 1)
 
 
 def _rebuild(instance, position, capacity, group=lambda gi: gi):
@@ -105,3 +122,44 @@ def test_fptas_zero_step_group_with_budget_at_least_groups(inst, extra, eps):
             assert stored == true_w
         else:
             assert 0 <= true_w - stored <= k * step and stored % step == 0
+
+
+def _solutions(inst, k, table=None):
+    """``(value, levels)`` of the welfare solve and of every lower bound."""
+    results = [max_total_improvement(inst, k, table=table)]
+    results += [
+        max_total_with_min_improvers(inst, k, n_lb, table=table)
+        for n_lb in range(inst.size + 2)
+    ]
+    return [None if s is None else (s.value, s.targets.levels) for s in results]
+
+
+@given(rational_instances(), st.integers(0, 3))
+@settings(max_examples=80, deadline=None)
+def test_solve_lb_agrees_on_int64_and_object_tables(inst, k):
+    int64 = ContributionTable(inst, engine="numpy")
+    exact = ContributionTable(inst, engine="python")
+    assert int64.credits.dtype != exact.credits.dtype
+    assert _solutions(inst, k, int64) == _solutions(inst, k, exact)
+
+
+@given(rational_instances(), st.integers(0, 3), st.fractions(0, 20))
+@settings(max_examples=80, deadline=None)
+def test_translation_leaves_solve_and_solve_lb_unchanged(inst, k, shift):
+    moved = _rebuild(inst, lambda p: p + shift, lambda c: c)
+    expected = [
+        None if s is None else (s[0], tuple(t + shift for t in s[1]))
+        for s in _solutions(inst, k)
+    ]
+    assert _solutions(moved, k) == expected
+
+
+@given(rational_instances(), st.integers(0, 3), st.integers(2, 5))
+@settings(max_examples=80, deadline=None)
+def test_scaling_scales_solve_and_solve_lb(inst, k, c):
+    scaled = _rebuild(inst, lambda p: c * p, lambda cap: c * cap)
+    expected = [
+        None if s is None else (c * s[0], tuple(c * t for t in s[1]))
+        for s in _solutions(inst, k)
+    ]
+    assert _solutions(scaled, k) == expected

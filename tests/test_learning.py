@@ -83,6 +83,20 @@ def test_parameter_validation():
         required_samples_groups(F(1, 2), F(1, 2), 1, 1, 2, 0)
 
 
+def test_overflowing_bounds_are_out_of_range():
+    huge = 10**400
+    for args in ((F(1, 2), F(1, 2), 2, huge), (F(1, 2), F(1, huge), 2, 1),
+                 (F(1, huge), F(1, 2), 2, 1)):
+        with pytest.raises(ParameterOutOfRange):
+            required_samples_single(*args)
+        with pytest.raises(ParameterOutOfRange):
+            required_samples_groups(*args, 2, F(1, 2))
+    with pytest.raises(ParameterOutOfRange):
+        required_samples_groups(F(1, 2), F(1, 2), 2, 1, 2, F(1, huge))
+    # Large but finite bounds are still answered.
+    assert required_samples_single(F(1, 2), F(1, 2), 2, 10**100) > 10**200
+
+
 def test_distribution_validation():
     with pytest.raises(ParameterOutOfRange):
         PositionDistribution(((F(0), F(1, 3)),), F(1))  # probabilities != 1

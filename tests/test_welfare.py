@@ -109,6 +109,15 @@ def test_min_improvers_infeasible_when_agents_far_apart():
     assert max_total_with_min_improvers(inst, 1, 2) is None
 
 
+def test_min_improvers_bound_above_agent_count_is_infeasible(rng):
+    for _ in range(20):
+        inst = random_integral_instance(rng)
+        assert max_total_with_min_improvers(inst, 3, inst.size + 1) is None
+        # A bound this large could never be tabulated; it is rejected up front.
+        assert max_total_with_min_improvers(inst, 3, 10**12) is None
+    assert max_total_with_min_improvers(Instance.common([0, 1], 1), 2, 2) is not None
+
+
 def test_min_improvers_tradeoff():
     # serving both agents caps the value at 3/2; alone, the far target earns 2
     inst = Instance((Agent(0, 1), Agent(F(1, 2), 2)), 1)
