@@ -9,7 +9,11 @@ and the per-state sets stay within their pseudo-polynomial bound.
 
 The recursion, :func:`frontier_dp`, works on integer tuples from any per-cell
 gain; the exact frontier feeds it scaled group credits, and the max-min
-approximation scheme feeds it credits quantized to whole rounding steps.
+approximation scheme feeds it credits quantized to whole rounding steps.  It
+reads gains only in the credit table's band and row 0: past the band a
+target's gain does not depend on the state's level, so the candidates from
+there form one pruned suffix union, built right to left once per budget and
+shared by every state.
 
 The exact DP requires integral positions and capacities; rational instances
 should be rescaled by the caller or routed to the max-min approximation
@@ -77,31 +81,58 @@ def _require_integral(instance: Instance) -> None:
         )
 
 
+def _extend(
+    merged: dict[tuple[int, ...], tuple[int, ...]],
+    j: int,
+    added: tuple[int, ...],
+    state: Mapping[tuple[int, ...], tuple[int, ...]],
+) -> None:
+    """Add ``state``'s tuples shifted by ``added``, with ``j`` prepended to
+    their chains; a tuple already in ``merged`` keeps its witness."""
+    for welfare, chain in state.items():
+        candidate = tuple(w + d for w, d in zip(welfare, added))
+        if candidate not in merged:
+            merged[candidate] = (j,) + chain
+
+
 def frontier_dp(
     table: ContributionTable, k: int, gain: Callable[[int, int], tuple[int, ...]]
 ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
     """The frontier recursion over integer per-group tuples.
 
     ``gain(i, j)`` is the tuple a target at level ``j`` adds when it is the
-    lowest one at or above level ``i``; it is read once per cell.  Returns the
-    root state, non-dominated tuples mapped to their witness index chains in
-    lexicographic order, and the size of the largest pruned state.
+    lowest one at or above level ``i``; it is read once per cell, and only in
+    the table's band and row 0.  Returns the root state, non-dominated tuples
+    mapped to their witness index chains in lexicographic order, and the size
+    of the largest pruned state.
+
+    Past the band, ``gain(i, j) = gain(0, j)``, so every state shares one
+    pruned suffix union of ``prev[j] + gain(0, j)``, built right to left; in
+    it and in each state, a tuple keeps the witness of its lowest ``j``.
     """
-    m = table.grid_size
-    gains = [[gain(i, j) for j in range(i + 1, m)] for i in range(m - 1)]
+    m, w = table.grid_size, table.width
+    near = [[gain(i, j) for j in range(i + 1, min(i + w + 1, m))] for i in range(m - 1)]
+    far = {j: gain(0, j) for j in range(w + 1, m)}
     base = {(0,) * table.instance.num_groups: ()}
     # An empty grid still has the empty chain at its root.
     prev = [base] * max(m, 1)
     peak = 0
     for _ in range(k):
+        # suffix[s]: the pruned union over j >= s, for s past row 0's band.
+        suffix: list[dict[tuple[int, ...], tuple[int, ...]]] = [{}] * (m + 1)
+        for s in range(m - 1, w, -1):
+            merged: dict[tuple[int, ...], tuple[int, ...]] = {}
+            _extend(merged, s, far[s], prev[s])
+            for welfare, chain in suffix[s + 1].items():
+                merged.setdefault(welfare, chain)
+            suffix[s] = dict(prune_dominated(merged))
         cur: list[dict[tuple[int, ...], tuple[int, ...]]] = [base] * len(prev)
         for i in range(m - 1):
-            merged: dict[tuple[int, ...], tuple[int, ...]] = {}
-            for j, added in enumerate(gains[i], i + 1):
-                for welfare, chain in prev[j].items():
-                    candidate = tuple(w + d for w, d in zip(welfare, added))
-                    if candidate not in merged:
-                        merged[candidate] = (j,) + chain
+            merged = {}
+            for j, added in enumerate(near[i], i + 1):
+                _extend(merged, j, added, prev[j])
+            for welfare, chain in suffix[min(i + w + 1, m)].items():
+                merged.setdefault(welfare, chain)
             cur[i] = dict(prune_dominated(merged))
             peak = max(peak, len(cur[i]))
         prev = cur

@@ -8,6 +8,15 @@ when it is the lowest target at or above level ``i``: the sum of
 ``level[j]``.  This table computes those sums once, per group, together with
 the matching head counts.
 
+An agent only climbs to levels within its capacity, so no agent below level
+``i`` reaches a level more than ``W`` grid steps above ``i``, where ``W`` is
+the most levels any single agent can climb.  Every entry with ``j > i + W``
+therefore equals its row-0 entry ``(0, j)``.  The table stores row 0 in full
+plus an ``(m, W)`` band per quantity, O(m·W) cells instead of O(m²); wide
+capacities widen the band, up to ``W = m - 1`` when one agent spans the grid.
+The build scatters each agent's reachable levels and takes prefix sums along
+the band, so it needs O(n·W) memory besides the bands, never an n × m mask.
+
 Internally everything is integer: positions and capacities are rescaled by
 the least common denominator, so credits are exact.  There is one numpy
 build with two dtypes: int64 when every sum is guarded against overflow, and
@@ -37,9 +46,14 @@ class ContributionTable:
         scale: common denominator used for the integer representation.
         engine: ``"numpy"`` for int64 arrays, ``"python"`` for exact
             object-dtype arrays; ``"auto"`` picks int64 whenever it is safe.
-        credits, counts: ``(m, m)`` scaled credit and head count of a target
-            at level ``j`` that is the lowest one at or above level ``i``.
-        group_credits: ``(g, m, m)`` scaled credit split by group.
+        width: ``W``, the most grid levels any agent can climb; a cell past
+            the band (``j > i + W``) equals its row-0 value.
+        credits, counts: ``(m, W)`` bands; ``[i, d]`` is the scaled credit and
+            head count of a target at level ``j = i + 1 + d`` that is the
+            lowest one at or above level ``i`` (0 past the top of the grid).
+        group_credits: ``(g, m, W)`` band of the scaled credit split by group.
+        credit0, count0, group_credit0: row 0 (``i = 0``) of each table, one
+            entry per level ``j``.
     """
 
     def __init__(self, instance: Instance, engine: str = "auto"):
@@ -66,26 +80,44 @@ class ContributionTable:
     # -- construction ------------------------------------------------------
 
     def _build(self, dtype) -> None:
-        m = len(self.levels)
+        m, g = len(self.levels), self.instance.num_groups
         agents = self.instance.agents
         tps = np.asarray(self._scaled_levels, dtype=dtype)
         p = np.asarray([int(a.position * self.scale) for a in agents], dtype=dtype)
         r = p + np.asarray([int(a.capacity * self.scale) for a in agents], dtype=dtype)
         gi = np.asarray([a.group for a in agents], dtype=np.intp)
-        mask = (p[:, None] < tps[None, :]) & (tps[None, :] <= r[:, None])
-        gains = np.where(mask, tps[None, :] - p[:, None], 0)
-        # Each agent is counted in the row of its own level (its grid bucket).
-        rows = np.broadcast_to(np.searchsorted(tps, p)[:, None], gains.shape)
-        cols = np.broadcast_to(np.arange(m, dtype=np.intp), gains.shape)
-        count = np.zeros((m, m), dtype=np.int64)
-        np.add.at(count, (rows, cols), mask.astype(np.int64))
-        group_credit = np.zeros((self.instance.num_groups, m, m), dtype=dtype)
-        np.add.at(group_credit, (np.broadcast_to(gi[:, None], gains.shape), rows, cols), gains)
-        # Suffix-sum down the rows so entry [i, j] covers agents at or above level i.
-        self.counts = np.cumsum(count[::-1], axis=0)[::-1]
-        self.group_credits = np.cumsum(group_credit[:, ::-1, :], axis=1)[:, ::-1, :]
+        # Positions and reaches are levels: agent a sits at level low[a] and
+        # reaches the span[a] levels above it.
+        low = np.searchsorted(tps, p)
+        span = np.searchsorted(tps, r) - low
+        self.width = w = int(span.max(initial=0))
+        # One entry per agent and reachable level j, at offset t = j - low - 1.
+        who = np.repeat(np.arange(len(agents)), span)
+        t = np.arange(len(who)) - np.repeat(np.cumsum(span) - span, span)
+        j = low[who] + 1 + t
+        gains = tps[j] - p[who]
+        # By column: [j, t] sums the agents at level j - 1 - t that reach j, so
+        # the prefix sum over t covers every agent from level j - 1 - t up.
+        count = np.zeros((m, w), dtype=np.int64)
+        np.add.at(count, (j, t), 1)
+        group_credit = np.zeros((g, m, w), dtype=dtype)
+        np.add.at(group_credit, (gi[who], j, t), gains)
+        np.cumsum(count, axis=1, out=count)
+        np.cumsum(group_credit, axis=2, out=group_credit)
+        # By row: band cell [i, d] is column j = i + 1 + d at offset d.
+        self.counts = np.zeros((m, w), dtype=np.int64)
+        self.group_credits = np.zeros((g, m, w), dtype=dtype)
+        for d in range(w):
+            self.counts[: m - 1 - d, d] = count[d + 1 :, d]
+            self.group_credits[:, : m - 1 - d, d] = group_credit[:, d + 1 :, d]
         self.credits = self.group_credits.sum(axis=0)
-        for table in (self.credits, self.counts, self.group_credits):
+        # Row 0 counts every agent below level j that reaches it.
+        self.count0 = np.bincount(j, minlength=m).astype(np.int64)
+        self.group_credit0 = np.zeros((g, m), dtype=dtype)
+        np.add.at(self.group_credit0, (gi[who], j), gains)
+        self.credit0 = self.group_credit0.sum(axis=0)
+        for table in (self.credits, self.counts, self.group_credits,
+                      self.credit0, self.count0, self.group_credit0):
             table.flags.writeable = False
 
     # -- access ------------------------------------------------------------
@@ -94,17 +126,25 @@ class ContributionTable:
     def grid_size(self) -> int:
         return len(self.levels)
 
+    def _cell(self, band: np.ndarray, row0: np.ndarray, i: int, j: int):
+        """Entry ``(i, j)`` of a banded table: 0 for ``j <= i``, the band up
+        to ``j = i + W``, the row-0 value past it."""
+        d = j - i - 1
+        if d < 0:
+            return np.zeros_like(row0[..., j])
+        return band[..., i, d] if d < self.width else row0[..., j]
+
     def credit_scaled(self, i: int, j: int) -> int:
-        return int(self.credits[i, j])
+        return int(self._cell(self.credits, self.credit0, i, j))
 
     def credit(self, i: int, j: int) -> Fraction:
         return Fraction(self.credit_scaled(i, j), self.scale)
 
     def reach_count(self, i: int, j: int) -> int:
-        return int(self.counts[i, j])
+        return int(self._cell(self.counts, self.count0, i, j))
 
     def group_credit_scaled(self, i: int, j: int) -> tuple[int, ...]:
-        return tuple(self.group_credits[:, i, j].tolist())
+        return tuple(self._cell(self.group_credits, self.group_credit0, i, j).tolist())
 
     def group_credit(self, i: int, j: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.scale) for v in self.group_credit_scaled(i, j))

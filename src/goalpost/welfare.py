@@ -14,8 +14,15 @@ recursion: ``eta``, how many agents must still improve.  Each transition
 subtracts the head count reaching the chosen lowest target, floored at 0;
 once ``eta`` reaches 0 the state is an unconstrained one.  So a single DP
 serves both: the welfare solve is its ``eta = 0`` layer, and unsatisfiable
-states carry -1.  It runs on the table's arrays in either dtype (int64 or
-exact object integers), with identical results.
+states carry -1.  Feasibility only gets harder as ``eta`` grows, so a budget
+layer stops at its first all-infeasible row.  It runs on the table's arrays
+in either dtype (int64 or exact object integers), with identical results.
+
+Each layer reads the credit table's band: for level ``i`` the candidates
+``j <= i + W`` are read cell by cell, and every ``j`` past the band shares
+its row-0 credit and count, so one suffix maximum of
+``credit(0, j) + tail[j]`` per row ``eta`` serves every ``i``.  A layer costs
+O(m·W) instead of O(m²).
 """
 
 from __future__ import annotations
@@ -25,6 +32,7 @@ from fractions import Fraction
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .model import EMPTY_TARGETS, Instance, TargetSet, validate_instance
 from .tables import ContributionTable
@@ -55,29 +63,55 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     """All DP rows up to budget k.  ``values[b][eta, i]`` is the best scaled
     improvement above level ``i`` with ``b`` targets when at least ``eta``
     agents must improve (-1 when impossible); ``choices[b - 1][eta, i]`` is
-    the lowest target it places."""
-    m = table.grid_size
-    credit, count = table.credits, table.counts
-    upper = np.arange(m)[None, :] > np.arange(m)[:, None]
-    cols = np.arange(m)[None, :]
-    first = np.full((n_lb + 1, m), -1, dtype=credit.dtype)
-    first[0] = 0
+    the lowest target it places.  Rows end in ``W`` more columns of -1, the
+    levels past the top of the grid that the band of the top rows reaches."""
+    m, w = table.grid_size, table.width
+    cols = sliding_window_view(np.arange(1, m + w), w)[:m]  # band cell -> level
+    past = np.minimum(np.arange(m) + w + 1, m)  # first level past each band
+    first = np.full((n_lb + 1, m + w), -1, dtype=table.credits.dtype)
+    first[0, :m] = 0
     values = [first]
     choices = []
     for _ in range(k):
         prev = values[-1]
-        cur = np.empty_like(prev)
-        pick = np.empty((n_lb + 1, m), dtype=np.intp)
-        cand = np.where(upper, credit + prev[0][None, :], -1)
-        cur[0], pick[0] = cand.max(axis=1), cand.argmax(axis=1)
+        cur = np.full_like(prev, -1)
+        pick = np.zeros((n_lb + 1, m), dtype=np.intp)
+        for eta in range(n_lb + 1):
+            cur[eta, :m], pick[eta] = _best_targets(table, prev, eta, cols, past)
+            if cur[eta].max() < 0:
+                break  # more improvers are no easier: the rest stays -1
         cur[0, m - 1] = 0  # topmost level: nothing above it to place
-        for eta in range(1, n_lb + 1):
-            tail = prev[np.maximum(eta - count, 0), cols]
-            cand = np.where(upper & (tail >= 0), credit + tail, -1)
-            cur[eta], pick[eta] = cand.max(axis=1), cand.argmax(axis=1)
         values.append(cur)
         choices.append(pick)
     return values, choices
+
+
+def _best_targets(table: ContributionTable, prev, eta: int, cols, past):
+    """Row ``eta`` of a budget layer: for every level ``i``, the best
+    ``credit(i, j) + prev[eta - count(i, j), j]`` over ``j > i`` with a
+    feasible ``prev`` state, and its lowest ``j``.
+
+    The band ``j <= i + W`` is read cell by cell.  Past it every row sees the
+    same row-0 candidates, so one suffix maximum serves them all; the band
+    comes first, so it wins ties."""
+    m, w = table.grid_size, table.width
+    levels = np.arange(m)
+    if eta:  # the state each head count leaves; row 0 stays in row 0
+        near = np.take(prev, np.maximum(eta - table.counts, 0) * prev.shape[1] + cols)
+        tail = prev[np.maximum(eta - table.count0, 0), levels]
+    else:
+        near, tail = sliding_window_view(prev[0, 1:], w)[:m], prev[0, :m]
+    cand = np.empty((m, w + 1), dtype=prev.dtype)
+    np.add(table.credits, near, out=cand[:, :w])
+    np.copyto(cand[:, :w], -1, where=near < 0)
+    far = np.where(tail >= 0, table.credit0 + tail, -1)
+    # best[s]: the best row-0 candidate at level s or above; at[s]: its lowest level.
+    best = np.append(np.maximum.accumulate(far[::-1])[::-1], -1)
+    record = np.where(far == best[:m], levels, m)
+    at = np.append(np.minimum.accumulate(record[::-1])[::-1], m)
+    cand[:, w] = best[past]
+    arg = cand.argmax(axis=1)
+    return cand[levels, arg], np.where(arg < w, levels + 1 + arg, at[past])
 
 
 def _reconstruct(

@@ -4,7 +4,9 @@
 on quantized credits, so each property is checked on both where it applies.
 The welfare solve is the ``n_lb = 0`` layer of the lower-bound DP, so
 ``max_total_improvement`` and ``max_total_with_min_improvers`` are checked
-together, on int64 and on exact object tables.
+together, on int64 and on exact object tables.  Every solver is also checked
+against the brute-force oracle on both engines, and the sweep and the fair
+pipeline against the bounds the paper states for them.
 """
 
 from fractions import Fraction as F
@@ -14,16 +16,23 @@ from hypothesis import strategies as st
 
 from goalpost import (
     Agent,
+    CapacityModel,
     ContributionTable,
     FptasParams,
     Instance,
+    approx_solution,
     brute_force_max_min,
+    brute_force_optimum,
+    brute_force_pareto,
     fptas_max_min,
     improvement_report,
     max_total_improvement,
     max_total_with_min_improvers,
+    optimal_target_count_sweep,
     pareto_frontier,
 )
+
+ENGINES = st.sampled_from(["numpy", "python"])
 
 
 @st.composite
@@ -48,6 +57,32 @@ def rational_instances(draw):
         min_size=1, max_size=5,
     ))
     return Instance(tuple(Agent(p, c) for p, c in members), 1)
+
+
+@st.composite
+def individual_instances(draw):
+    """Integral instance, individual capacities, possibly empty groups."""
+    g = draw(st.integers(1, 3))
+    members = draw(st.lists(
+        st.tuples(st.integers(0, 10), st.integers(0, 6), st.integers(0, g - 1)),
+        min_size=1, max_size=5,
+    ))
+    return Instance(tuple(Agent(p, c, gi) for p, c, gi in members), g)
+
+
+@st.composite
+def common_instances(draw):
+    """Common capacity (possibly fractional), every group populated."""
+    g = draw(st.integers(2, 3))
+    capacity = draw(st.builds(F, st.integers(1, 4), st.sampled_from([1, 2])))
+    extra = draw(st.lists(st.integers(0, g - 1), max_size=4))
+    groups = list(range(g)) + extra
+    positions = draw(st.lists(
+        st.builds(F, st.integers(0, 16), st.sampled_from([1, 2])),
+        min_size=len(groups), max_size=len(groups),
+    ))
+    agents = tuple(Agent(p, capacity, gi) for p, gi in zip(positions, groups))
+    return Instance(agents, g, CapacityModel.COMMON)
 
 
 def _rebuild(instance, position, capacity, group=lambda gi: gi):
@@ -163,3 +198,54 @@ def test_scaling_scales_solve_and_solve_lb(inst, k, c):
         for s in _solutions(inst, k)
     ]
     assert _solutions(scaled, k) == expected
+
+
+@given(individual_instances(), st.integers(0, 3), ENGINES)
+@settings(max_examples=80, deadline=None)
+def test_welfare_and_frontier_agree_with_the_oracle(inst, k, engine):
+    table = ContributionTable(inst, engine=engine)
+    best = brute_force_optimum(inst, k).value
+    assert max_total_improvement(inst, k, engine=engine).value == best
+    assert max_total_improvement(inst, k, table=table).value == best
+    frontier = pareto_frontier(inst, k, table=table)
+    assert frontier.welfare_set() == brute_force_pareto(inst, k).welfare_set()
+    for point in frontier.points:
+        assert improvement_report(inst, point.targets).group_totals == point.welfare
+
+
+@given(grouped_instances(), st.integers(1, 3), st.sampled_from([1, 2**61]))
+@settings(max_examples=60, deadline=None)
+def test_fptas_on_a_fine_grid_is_the_oracle_max_min(inst, k, c):
+    # Scaling by 2**61 (and moving off 0) puts the table on the object engine.
+    scaled = _rebuild(inst, lambda p: c * (p + 1), lambda cap: c * cap)
+    assert ContributionTable(scaled).engine == ("numpy" if c == 1 else "python")
+    # Welfare comes in multiples of c and the optimum is at most c * total,
+    # so eps * optimum < c: the (1 - eps) guarantee leaves no room to round.
+    total = sum(a.capacity for a in inst.agents)
+    result = fptas_max_min(scaled, k, F(1, total + 2))
+    assert result.value == brute_force_max_min(scaled, k)
+    assert min(improvement_report(scaled, result.targets).group_totals) == result.value
+
+
+@given(rational_instances(), st.integers(0, 5), ENGINES)
+@settings(max_examples=60, deadline=None)
+def test_sweep_is_non_decreasing_in_the_budget(inst, k_max, engine):
+    curve = optimal_target_count_sweep(inst, k_max, engine=engine)
+    values = [entry.value for entry in curve.entries]
+    assert values == sorted(values)
+    assert values[min(k_max, 2)] == brute_force_optimum(inst, min(k_max, 2)).value
+    assert values[curve.min_k_for_max] == values[-1]
+
+
+@given(common_instances(), st.integers(0, 3))
+@settings(max_examples=60, deadline=None)
+def test_fair_approx_keeps_each_group_a_share_of_its_split_budget_optimum(inst, extra):
+    g = inst.num_groups
+    k = g + extra
+    trace = approx_solution(inst, k)
+    split = -(-k // g)
+    welfare = improvement_report(inst, trace.targets).group_totals
+    for gi in range(g):
+        solo = brute_force_optimum(inst.isolate_group(gi), split).value
+        assert 16 * g * g * welfare[gi] >= solo
+    assert trace.alpha_ceil >= F(1, 16 * g * g)

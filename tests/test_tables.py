@@ -1,9 +1,11 @@
+import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from goalpost import Agent, ContributionTable, Instance, max_total_improvement
-from goalpost import max_total_with_min_improvers
+from goalpost import brute_force_optimum, max_total_with_min_improvers
 from helpers import random_integral_instance
 
 
@@ -62,3 +64,79 @@ def test_oversized_values_refuse_the_int64_engine():
     table = ContributionTable(inst)  # auto falls back to python
     assert table.engine == "python"
     assert max_total_improvement(inst, 1).value == 2**62
+
+
+def _direct_cell(inst, levels, i, j):
+    """Credit, head count and group credits of cell (i, j), summed agent by
+    agent from the definition."""
+    movers = [
+        a for a in inst.agents
+        if i < j and levels[i] <= a.position < levels[j] <= a.reach
+    ]
+    gains = [(levels[j] - a.position, a.group) for a in movers]
+    return (
+        sum((d for d, _ in gains), F(0)),
+        len(movers),
+        tuple(sum((d for d, g in gains if g == gi), F(0)) for gi in range(inst.num_groups)),
+    )
+
+
+def _random_rational_instance(rng):
+    g = rng.randint(1, 3)
+    agents = tuple(
+        Agent(F(rng.randint(0, 24), rng.choice([1, 2, 3])),
+              F(rng.randint(0, 10), rng.choice([1, 2])), rng.randint(0, g - 1))
+        for _ in range(rng.randint(1, 7))
+    )
+    return Instance(agents, g)
+
+
+def _assert_matches_definition(table):
+    inst, levels = table.instance, table.levels
+    for i in range(table.grid_size):
+        for j in range(table.grid_size):
+            credit, count, groups = _direct_cell(inst, levels, i, j)
+            assert table.credit(i, j) == credit
+            assert table.reach_count(i, j) == count
+            assert table.group_credit(i, j) == groups
+
+
+def test_banded_accessors_match_the_definition_on_both_engines(rng):
+    for _ in range(40):
+        inst = _random_rational_instance(rng)
+        for engine in ("numpy", "python"):
+            table = ContributionTable(inst, engine=engine)
+            assert table.credits.shape == (table.grid_size, table.width)
+            _assert_matches_definition(table)
+
+
+def test_agent_spanning_the_grid_widens_the_band_to_all_levels():
+    inst = Instance((Agent(0, 20, 0), Agent(3, 2, 1), Agent(F(15, 2), 1, 1), Agent(12, 4, 0)), 2)
+    table = ContributionTable(inst)
+    assert table.width == table.grid_size - 1
+    _assert_matches_definition(table)
+    assert max_total_improvement(inst, 3).value == brute_force_optimum(inst, 3).value
+
+
+def test_zero_capacities_leave_an_empty_band():
+    inst = Instance((Agent(0, 0), Agent(4, 0), Agent(F(9, 2), 0)), 1)
+    table = ContributionTable(inst)
+    assert table.width == 0
+    assert table.credits.shape == (table.grid_size, 0)
+    _assert_matches_definition(table)
+    assert max_total_improvement(inst, 2).value == 0
+    assert max_total_with_min_improvers(inst, 2, 0).value == 0
+    assert max_total_with_min_improvers(inst, 2, 1) is None
+
+
+def test_table_cells_grow_with_the_band_not_the_grid_squared():
+    rng = random.Random(4000)
+    agents = tuple(
+        Agent(rng.randint(0, 10**6), rng.randint(1, 10**4), rng.randint(0, 2))
+        for _ in range(4000)
+    )
+    table = ContributionTable(Instance(agents, 3))
+    m, w, g = table.grid_size, table.width, 3
+    cells = sum(v.size for v in vars(table).values() if isinstance(v, np.ndarray))
+    assert cells <= m * (w + 1) * (g + 2)
+    assert 20 * (w + 1) < m  # the band is narrow here, so the bound is far below m^2

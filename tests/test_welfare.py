@@ -155,6 +155,30 @@ def test_min_improvers_matches_enumeration(rng):
             assert sum(1 for o in report.per_agent if o.improvement > 0) >= n_lb
 
 
+
+def _improvers(inst, targets):
+    return sum(1 for o in improvement_report(inst, targets).per_agent if o.improvement > 0)
+
+
+def test_min_improvers_matches_oracle_for_every_bound(rng):
+    outcomes = set()
+    for _ in range(40):
+        inst = random_integral_instance(rng)
+        k = rng.randint(0, 3)
+        unconstrained = brute_force_optimum(inst, k)
+        for n_lb in range(inst.size + 2):
+            expected = _oracle_min_improvers(inst, k, n_lb)
+            got = max_total_with_min_improvers(inst, k, n_lb)
+            outcomes.add(expected is None)
+            if expected is None:
+                assert got is None
+                continue
+            assert got.value == expected
+            assert _improvers(inst, got.targets) >= n_lb
+            if n_lb <= _improvers(inst, unconstrained.targets):
+                assert got.value == unconstrained.value
+    assert outcomes == {True, False}  # both feasible and infeasible bounds ran
+
 def test_min_improvers_weakly_decreasing_in_bound(rng):
     for _ in range(20):
         inst = random_integral_instance(rng)
