@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 
 from . import fairness, fptas, learning, oracle, pareto, welfare
 from .errors import GoalpostError
-from .io import load_distribution, load_instance, rational_jsonable, targets_jsonable
-from .model import TargetSet, rational
+from .io import load_distribution, load_instance
+from .model import TargetSet, rational, rational_str
 
 CSV_COMMANDS = ("pareto", "sweep")
 
@@ -102,8 +102,8 @@ def build_parser() -> argparse.ArgumentParser:
 def _frontier_jsonable(frontier: pareto.ParetoFrontier) -> list[dict]:
     return [
         {
-            "welfare": [rational_jsonable(w) for w in point.welfare],
-            "targets": targets_jsonable(point.targets),
+            "welfare": [rational_str(w) for w in point.welfare],
+            "targets": point.targets.as_strings(),
         }
         for point in frontier.points
     ]
@@ -111,7 +111,7 @@ def _frontier_jsonable(frontier: pareto.ParetoFrontier) -> list[dict]:
 
 def _trace_jsonable(trace: fairness.ApproxTrace) -> dict:
     def per_group(sets: Sequence[TargetSet]) -> list[list[str]]:
-        return [targets_jsonable(ts) for ts in sets]
+        return [ts.as_strings() for ts in sets]
 
     return {
         "split_budget": trace.split_budget,
@@ -120,25 +120,25 @@ def _trace_jsonable(trace: fairness.ApproxTrace) -> dict:
         "step2_sparse": per_group(trace.step2_sparse),
         "step3_localized": per_group(trace.step3_localized),
         "step3_survivors": [
-            [rational_jsonable(a.position) for a in agents]
+            [rational_str(a.position) for a in agents]
             for agents in trace.survivors
         ],
         "step4_parts": [
             {
-                "window_starts": [rational_jsonable(s) for s in part.points],
-                "target": rational_jsonable(part.placed),
+                "window_starts": [rational_str(s) for s in part.points],
+                "target": rational_str(part.placed),
             }
             for part in trace.step4_parts
         ],
-        "targets": targets_jsonable(trace.targets),
+        "targets": trace.targets.as_strings(),
     }
 
 
 def _report_jsonable(report) -> dict:
     return {
-        "group_totals": [rational_jsonable(v) for v in report.group_totals],
-        "group_averages": [rational_jsonable(v) for v in report.group_averages],
-        "total": rational_jsonable(report.total),
+        "group_totals": [rational_str(v) for v in report.group_totals],
+        "group_averages": [rational_str(v) for v in report.group_averages],
+        "total": rational_str(report.total),
     }
 
 
@@ -160,8 +160,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
             return {
                 "command": cmd,
                 "k": args.k,
-                "epsilon": rational_jsonable(args.epsilon),
-                "delta": rational_jsonable(args.delta),
+                "epsilon": rational_str(args.epsilon),
+                "delta": rational_str(args.delta),
                 "n": n,
             }, None
         report = learning.deviation_experiment(
@@ -177,8 +177,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
         return {
             "command": cmd,
             "k": args.k,
-            "targets": targets_jsonable(solution.targets),
-            "value": rational_jsonable(solution.value),
+            "targets": solution.targets.as_strings(),
+            "value": rational_str(solution.value),
         }, None
     if cmd == "solve-lb":
         solution = welfare.max_total_with_min_improvers(instance, args.k, args.n_lb)
@@ -188,14 +188,14 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
         else:
             payload.update(
                 feasible=True,
-                targets=targets_jsonable(solution.targets),
-                value=rational_jsonable(solution.value),
+                targets=solution.targets.as_strings(),
+                value=rational_str(solution.value),
             )
         return payload, None
     if cmd == "sweep":
         curve = welfare.optimal_target_count_sweep(instance, args.k)
         rows = [["k", "value", "targets"]] + [
-            [str(e.k), rational_jsonable(e.value), " ".join(targets_jsonable(e.targets))]
+            [str(e.k), rational_str(e.value), " ".join(e.targets.as_strings())]
             for e in curve.entries
         ]
         return {
@@ -204,8 +204,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
             "curve": [
                 {
                     "k": e.k,
-                    "value": rational_jsonable(e.value),
-                    "targets": targets_jsonable(e.targets),
+                    "value": rational_str(e.value),
+                    "targets": e.targets.as_strings(),
                 }
                 for e in curve.entries
             ],
@@ -214,8 +214,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
     if cmd == "pareto":
         frontier = pareto.pareto_frontier(instance, args.k)
         rows = [[f"group_{g}" for g in range(frontier.num_groups)] + ["targets"]] + [
-            [rational_jsonable(w) for w in point.welfare]
-            + [" ".join(targets_jsonable(point.targets))]
+            [rational_str(w) for w in point.welfare]
+            + [" ".join(point.targets.as_strings())]
             for point in frontier.points
         ]
         return {
@@ -228,28 +228,28 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
         return {
             "command": cmd,
             "k": args.k,
-            "value": rational_jsonable(value),
-            "welfare": [rational_jsonable(w) for w in point.welfare],
-            "targets": targets_jsonable(point.targets),
+            "value": rational_str(value),
+            "welfare": [rational_str(w) for w in point.welfare],
+            "targets": point.targets.as_strings(),
         }, None
     if cmd == "fptas":
         result = fptas.fptas_max_min(instance, args.k, args.epsilon)
         return {
             "command": cmd,
             "k": args.k,
-            "epsilon": rational_jsonable(args.epsilon),
-            "value": rational_jsonable(result.value),
-            "targets": targets_jsonable(result.targets),
+            "epsilon": rational_str(args.epsilon),
+            "value": rational_str(result.value),
+            "targets": result.targets.as_strings(),
         }, None
     if cmd == "fair-approx":
         trace = fairness.approx_solution(instance, args.k)
         return {
             "command": cmd,
             "k": args.k,
-            "targets": targets_jsonable(trace.targets),
+            "targets": trace.targets.as_strings(),
             "report": _report_jsonable(trace.report),
-            "alpha_k": rational_jsonable(trace.alpha_k),
-            "alpha_ceil": rational_jsonable(trace.alpha_ceil),
+            "alpha_k": rational_str(trace.alpha_k),
+            "alpha_ceil": rational_str(trace.alpha_ceil),
             "trace": _trace_jsonable(trace),
         }, None
     if cmd == "factor":
@@ -261,9 +261,9 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
             "command": cmd,
             "k": args.k,
             "budget": budget,
-            "alpha": rational_jsonable(alpha),
-            "welfare": [rational_jsonable(w) for w in point.welfare],
-            "targets": targets_jsonable(point.targets),
+            "alpha": rational_str(alpha),
+            "welfare": [rational_str(w) for w in point.welfare],
+            "targets": point.targets.as_strings(),
         }, None
     if cmd == "oracle":
         if args.objective == "welfare":
@@ -272,8 +272,8 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
                 "command": cmd,
                 "objective": "welfare",
                 "k": args.k,
-                "targets": targets_jsonable(solution.targets),
-                "value": rational_jsonable(solution.value),
+                "targets": solution.targets.as_strings(),
+                "value": rational_str(solution.value),
             }, None
         if args.objective == "pareto":
             frontier = oracle.brute_force_pareto(instance, args.k)
@@ -288,7 +288,7 @@ def _run_command(args: argparse.Namespace) -> tuple[dict, Optional[list[list[str
             "command": cmd,
             "objective": "maxmin",
             "k": args.k,
-            "value": rational_jsonable(value),
+            "value": rational_str(value),
         }, None
     raise AssertionError(f"unhandled command {cmd}")
 

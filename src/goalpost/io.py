@@ -12,14 +12,7 @@ from typing import Any, Union
 
 from .errors import InstanceParseError
 from .learning import GroupMixture, PositionDistribution
-from .model import (
-    Agent,
-    CapacityModel,
-    Instance,
-    TargetSet,
-    rational,
-    rational_str,
-)
+from .model import Agent, CapacityModel, Instance, rational
 
 
 def _parse_rational(value: Any, path: str) -> Fraction:
@@ -127,11 +120,3 @@ def _load_json(path: str) -> Any:
         raise InstanceParseError(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InstanceParseError(f"{path}: invalid JSON ({exc})") from None
-
-
-def targets_jsonable(targets: TargetSet) -> list[str]:
-    return targets.as_strings()
-
-
-def rational_jsonable(value: Fraction) -> str:
-    return rational_str(value)

@@ -20,13 +20,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import lcm
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import EmptySample, ParameterOutOfRange
-from .model import RationalLike, TargetSet, improvement_at, rational, rational_str
+from .model import Agent, Instance, RationalLike, TargetSet, improvement_at
+from .model import potential_targets, rational, rational_str
 from .oracle import capped_subsets
 
 
@@ -58,11 +60,7 @@ class PositionDistribution:
             raise ParameterOutOfRange("probabilities must sum to exactly 1")
 
     def grid(self) -> tuple[Fraction, ...]:
-        levels = set()
-        for p, _ in self.support:
-            levels.add(p)
-            levels.add(p + self.capacity)
-        return tuple(sorted(levels))
+        return _support_grid((self,))
 
 
 @dataclass(frozen=True)
@@ -94,10 +92,14 @@ class GroupMixture:
         return max(d.capacity for _, d in self.components)
 
     def grid(self) -> tuple[Fraction, ...]:
-        levels: set[Fraction] = set()
-        for _, dist in self.components:
-            levels.update(dist.grid())
-        return tuple(sorted(levels))
+        return _support_grid(d for _, d in self.components)
+
+
+def _support_grid(dists: Iterable[PositionDistribution]) -> tuple[Fraction, ...]:
+    """Every support position and reach, as the potential targets of one
+    agent per support point."""
+    agents = tuple(Agent(p, d.capacity) for d in dists for p, _ in d.support)
+    return potential_targets(Instance(agents)).levels
 
 
 def _check_unit_open(name: str, value: Fraction) -> None:
@@ -242,47 +244,40 @@ def deviation_experiment(
         n = required_samples_groups(
             eps, delta, k, dist.delta_max, dist.num_groups, dist.alpha_min
         )
-        num_groups = dist.num_groups
-        positions = [p for _, d in dist.components for p, _ in d.support]
-        capacities = [d.capacity for _, d in dist.components for _ in d.support]
-        weights = [w * q for w, d in dist.components for _, q in d.support]
-        groups = [gi for gi, (_, d) in enumerate(dist.components)
-                  for _ in d.support]
-        components = [d for _, d in dist.components]
+        mixture = dist
     else:
         n = required_samples_single(eps, delta, k, dist.capacity)
-        num_groups = 1
-        positions = [p for p, _ in dist.support]
-        capacities = [dist.capacity] * len(positions)
-        weights = [q for _, q in dist.support]
-        groups = [0] * len(positions)
-        components = [dist]
-    candidates = list(capped_subsets(dist.grid(), k, max_subsets, min_size=1))
-    per_set_expected = [
-        tuple(expected_improvement(d, targets) for d in components)
-        for targets in candidates
-    ]
-
+        mixture = GroupMixture(((Fraction(1), dist),))
+    # One outcome per group and support point.
+    groups, positions, capacities, probabilities, weights = zip(*(
+        (gi, p, d.capacity, q, w * q)
+        for gi, (w, d) in enumerate(mixture.components)
+        for p, q in d.support
+    ))
     num_outcomes = len(weights)
+    candidates = list(capped_subsets(mixture.grid(), k, max_subsets, min_size=1))
     per_set_gains = [
-        [improvement_at(positions[oi], capacities[oi], targets)
-         for oi in range(num_outcomes)]
+        [improvement_at(p, c, targets) for p, c in zip(positions, capacities)]
         for targets in candidates
     ]
     group_outcomes = [
         [oi for oi in range(num_outcomes) if groups[oi] == gi]
-        for gi in range(num_groups)
+        for gi in range(mixture.num_groups)
+    ]
+    # A group's expectation weighs its gains by the in-group probabilities.
+    per_set_expected = [
+        tuple(
+            sum((probabilities[oi] * gains[oi] for oi in members), Fraction(0))
+            for members in group_outcomes
+        )
+        for gains in per_set_gains
     ]
     denom = lcm(*(w.denominator for w in weights))
     if denom >= 2**62:
         raise ParameterOutOfRange(
             "probability denominators too large for exact sampling"
         )
-    thresholds = []
-    acc = 0
-    for w in weights:
-        acc += int(w * denom)
-        thresholds.append(acc)
+    thresholds = list(accumulate(int(w * denom) for w in weights))
 
     successes = 0
     worst = Fraction(0)

@@ -7,6 +7,10 @@ decided exactly.  Every type here is immutable; every function is pure.
 The behavior rule: given a set of target levels, an agent moves to the lowest
 level that is strictly above its position and within its capacity, or stays
 put if no such level exists.
+
+The candidate levels, every position and reach, are formed in one place:
+:func:`integer_grid` scales the instance once by its least common
+denominator.  :func:`potential_targets` is the grid's rational view.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import (
@@ -257,6 +262,29 @@ def group_welfare(agents: Sequence[Agent], targets: TargetSet) -> Fraction:
     )
 
 
+class IntegerGrid(NamedTuple):
+    """An instance in whole units of ``1/scale``: exact Python ints."""
+
+    scale: int
+    positions: tuple[int, ...]
+    capacities: tuple[int, ...]
+    levels: tuple[int, ...]
+
+
+def integer_grid(instance: Instance) -> IntegerGrid:
+    """Scale every position and capacity by their least common denominator;
+    ``levels`` is every scaled position and reach, sorted and deduplicated."""
+    agents = instance.agents
+    scale = lcm(*(a.position.denominator for a in agents),
+                *(a.capacity.denominator for a in agents))
+    positions = tuple(a.position.numerator * (scale // a.position.denominator)
+                      for a in agents)
+    capacities = tuple(a.capacity.numerator * (scale // a.capacity.denominator)
+                       for a in agents)
+    levels = {*positions, *(p + c for p, c in zip(positions, capacities))}
+    return IntegerGrid(scale, positions, capacities, tuple(sorted(levels)))
+
+
 def potential_targets(instance: Instance) -> TargetSet:
     """Every agent position and position-plus-capacity, sorted and deduplicated.
 
@@ -264,8 +292,5 @@ def potential_targets(instance: Instance) -> TargetSet:
     to the next such breakpoint preserves who reaches it and only lengthens
     the moves.
     """
-    levels: set[Fraction] = set()
-    for agent in instance.agents:
-        levels.add(agent.position)
-        levels.add(agent.reach)
-    return TargetSet(tuple(levels))
+    grid = integer_grid(instance)
+    return TargetSet(tuple(Fraction(v, grid.scale) for v in grid.levels))

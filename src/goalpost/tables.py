@@ -1,7 +1,7 @@
 """Shared pairwise credit precomputation for the dynamic programs.
 
 All solvers in this package walk the same sorted grid of candidate levels
-(:func:`goalpost.model.potential_targets`) and repeatedly need, for a pair of
+(:func:`goalpost.model.integer_grid`) and repeatedly need, for a pair of
 grid indices ``i < j``, the total move credited to a target at level ``j``
 when it is the lowest target at or above level ``i``: the sum of
 ``level[j] - p`` over agents with ``level[i] <= p < level[j]`` that can reach
@@ -16,26 +16,52 @@ plus an ``(m, W)`` band per quantity, O(m·W) cells instead of O(m²); wide
 capacities widen the band, up to ``W = m - 1`` when one agent spans the grid.
 The build scatters each agent's reachable levels and takes prefix sums along
 the band, so it needs O(n·W) memory besides the bands, never an n × m mask.
+Once the band width is known, a table that cannot fit in physical memory is
+refused with ``SearchSpaceTooLarge`` before any band is allocated.
 
-Internally everything is integer: positions and capacities are rescaled by
-the least common denominator, so credits are exact.  There is one numpy
-build with two dtypes: int64 when every sum is guarded against overflow, and
-``object`` (exact Python integers) when values are too large for that.  Both
-are exact, deterministic, and read-only once built.
+Internally everything is integer: the build reads the instance scaled once
+by its least common denominator (:func:`goalpost.model.integer_grid`), grid
+levels included, so credits are exact and the only rationals formed are the
+``levels`` themselves.  There is one numpy build with two dtypes: int64
+when every sum is guarded against overflow, and ``object`` (exact Python
+integers) when values are too large for that.  Both are exact,
+deterministic, and read-only once built.
 """
 
 from __future__ import annotations
 
+import os
 from fractions import Fraction
-from math import lcm
-from typing import Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .model import Instance, TargetSet, potential_targets
+from .errors import SearchSpaceTooLarge
+from .model import Instance, IntegerGrid, TargetSet, integer_grid
 
 # Keep headroom: DP candidates add two table entries plus a running value.
 _INT64_SAFE = 1 << 60
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the system cannot say."""
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return total if total > 0 else None
+
+
+def _check_fits(g: int, m: int, w: int, entries: int) -> None:
+    """Refuse a table whose bands, row 0 and scatter entries (8 bytes a cell)
+    exceed physical memory, before any of them is allocated."""
+    need = 8 * ((g + 2) * m * w + (g + 2) * m + entries)
+    have = _physical_memory()
+    if have is not None and need > have:
+        raise SearchSpaceTooLarge(
+            f"the credit table needs {need} bytes, more than the {have} bytes "
+            "of physical memory"
+        )
 
 
 class ContributionTable:
@@ -60,39 +86,34 @@ class ContributionTable:
         if engine not in ("auto", "python", "numpy"):
             raise ValueError(f"unknown engine {engine!r}")
         self.instance = instance
-        self.levels: tuple[Fraction, ...] = potential_targets(instance).levels
-        denoms = [a.position.denominator for a in instance.agents]
-        denoms += [a.capacity.denominator for a in instance.agents]
-        self.scale: int = lcm(*denoms) if denoms else 1
-        self._scaled_levels = [
-            int(v * self.scale) for v in self.levels
-        ]  # exact by construction
-        total_scaled = sum(int(a.capacity * self.scale) for a in instance.agents)
-        top = self._scaled_levels[-1] if self._scaled_levels else 0
-        int64_ok = max(total_scaled, top) < _INT64_SAFE
+        grid = integer_grid(instance)
+        self.scale: int = grid.scale
+        self.levels = tuple(Fraction(v, grid.scale) for v in grid.levels)
+        top = max(sum(grid.capacities), max(grid.levels, default=0))
+        int64_ok = top < _INT64_SAFE
         if engine == "numpy" and not int64_ok:
             raise ValueError("instance values too large for the int64 engine")
         if engine == "auto":
             engine = "numpy" if int64_ok else "python"
         self.engine = engine
-        self._build(np.int64 if engine == "numpy" else object)
+        self._build(grid, np.int64 if engine == "numpy" else object)
 
     # -- construction ------------------------------------------------------
 
-    def _build(self, dtype) -> None:
-        m, g = len(self.levels), self.instance.num_groups
-        agents = self.instance.agents
-        tps = np.asarray(self._scaled_levels, dtype=dtype)
-        p = np.asarray([int(a.position * self.scale) for a in agents], dtype=dtype)
-        r = p + np.asarray([int(a.capacity * self.scale) for a in agents], dtype=dtype)
-        gi = np.asarray([a.group for a in agents], dtype=np.intp)
+    def _build(self, grid: IntegerGrid, dtype) -> None:
+        m, g = len(grid.levels), self.instance.num_groups
+        tps = np.asarray(grid.levels, dtype=dtype)
+        p = np.asarray(grid.positions, dtype=dtype)
+        r = p + np.asarray(grid.capacities, dtype=dtype)
+        gi = np.asarray([a.group for a in self.instance.agents], dtype=np.intp)
         # Positions and reaches are levels: agent a sits at level low[a] and
         # reaches the span[a] levels above it.
         low = np.searchsorted(tps, p)
         span = np.searchsorted(tps, r) - low
         self.width = w = int(span.max(initial=0))
+        _check_fits(g, m, w, int(span.sum()))
         # One entry per agent and reachable level j, at offset t = j - low - 1.
-        who = np.repeat(np.arange(len(agents)), span)
+        who = np.repeat(np.arange(len(p)), span)
         t = np.arange(len(who)) - np.repeat(np.cumsum(span) - span, span)
         j = low[who] + 1 + t
         gains = tps[j] - p[who]

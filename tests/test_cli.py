@@ -340,6 +340,16 @@ def test_search_space_cap_error(capsys, tmp_path, monkeypatch):
     assert payload["error"] == "SearchSpaceTooLarge"
 
 
+def test_table_too_large_for_memory_is_an_error_envelope(capsys, monkeypatch):
+    from goalpost import tables
+
+    monkeypatch.setattr(tables, "_physical_memory", lambda: 64)
+    code, payload = run_json(capsys, "solve", "--instance", CLUSTER, "--k", "2")
+    assert code == 1
+    assert payload["error"] == "SearchSpaceTooLarge"
+    assert "64 bytes" in payload["detail"]
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--instance", CLUSTER])  # missing --k

@@ -1,6 +1,8 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalpost import (
     GroupMixture,
@@ -172,3 +174,28 @@ def test_report_serialization_shape():
     assert sorted(payload) == [
         "n", "seed", "success_fraction", "trials", "worst_deviation",
     ]
+
+
+@st.composite
+def distributions(draw):
+    positions = draw(st.lists(
+        st.builds(F, st.integers(0, 30), st.integers(1, 4)), min_size=1, max_size=5,
+        unique=True,
+    ))
+    weights = draw(st.lists(st.integers(1, 5), min_size=len(positions),
+                            max_size=len(positions)))
+    capacity = draw(st.builds(F, st.integers(0, 10), st.integers(1, 3)))
+    support = tuple((p, F(w, sum(weights))) for p, w in zip(positions, weights))
+    return PositionDistribution(support, capacity)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(distributions(), min_size=1, max_size=3))
+def test_grids_are_the_support_positions_and_reaches(dists):
+    def levels(ds):
+        return tuple(sorted({v for d in ds for p, _ in d.support
+                             for v in (p, p + d.capacity)}))
+
+    assert dists[0].grid() == levels(dists[:1])
+    mixture = GroupMixture(tuple((F(1, len(dists)), d) for d in dists))
+    assert mixture.grid() == levels(dists)

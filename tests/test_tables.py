@@ -1,11 +1,17 @@
 import random
 from fractions import Fraction as F
+from math import lcm
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goalpost import Agent, ContributionTable, Instance, max_total_improvement
 from goalpost import brute_force_optimum, max_total_with_min_improvers
+from goalpost import potential_targets, tables
+from goalpost.errors import SearchSpaceTooLarge
+from goalpost.model import integer_grid
 from helpers import random_integral_instance
 
 
@@ -140,3 +146,53 @@ def test_table_cells_grow_with_the_band_not_the_grid_squared():
     cells = sum(v.size for v in vars(table).values() if isinstance(v, np.ndarray))
     assert cells <= m * (w + 1) * (g + 2)
     assert 20 * (w + 1) < m  # the band is narrow here, so the bound is far below m^2
+
+
+# Large primes make the common denominator, and with it the scaled values,
+# too large for int64 once two of them meet.
+DENOMINATORS = st.one_of(
+    st.integers(1, 6), st.sampled_from([2**31 - 1, 2**61 - 1, 10**9 + 7, 10**9 + 9])
+)
+RATIONALS = st.builds(F, st.integers(0, 60), DENOMINATORS)
+
+
+@st.composite
+def rational_instances(draw):
+    g = draw(st.integers(1, 3))
+    agents = draw(st.lists(
+        st.builds(Agent, RATIONALS, RATIONALS, st.integers(0, g - 1)), max_size=6
+    ))
+    return Instance(tuple(agents), g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(rational_instances())
+@example(Instance((), 1))
+@example(Instance((Agent(F(3, 2**61 - 1), F(7, 10**9 + 7)),), 1))
+def test_table_grid_is_the_scaled_potential_target_grid(inst):
+    table = ContributionTable(inst)
+    grid = integer_grid(inst)
+    assert table.levels == potential_targets(inst).levels
+    denominators = [v.denominator for a in inst.agents for v in (a.position, a.capacity)]
+    assert table.scale == grid.scale == lcm(*denominators)
+    assert grid.levels == tuple(v * table.scale for v in table.levels)
+    assert all(type(v) is int for v in grid.levels)
+
+
+def test_huge_common_denominators_take_the_object_engine():
+    inst = Instance(tuple(Agent(F(1, d), F(2, d)) for d in (2**61 - 1, 10**9 + 7)), 1)
+    table = ContributionTable(inst)
+    assert table.engine == "python"
+    assert table.levels == potential_targets(inst).levels
+    _assert_matches_definition(table)
+
+
+def test_a_table_that_cannot_fit_in_memory_is_refused(monkeypatch):
+    inst = Instance(tuple(Agent(p, 5) for p in range(40)), 1)
+    monkeypatch.setattr(tables, "_physical_memory", lambda: 1000)
+    with pytest.raises(SearchSpaceTooLarge, match="1000 bytes"):
+        ContributionTable(inst)
+    with pytest.raises(SearchSpaceTooLarge):
+        max_total_improvement(inst, 2)
+    monkeypatch.setattr(tables, "_physical_memory", lambda: None)
+    assert ContributionTable(inst).width == 5
