@@ -13,6 +13,15 @@ Sampling is exact as well: each draw is one uniform integer below the common
 denominator of the support probabilities, so seeded runs reproduce bit for
 bit.  Trial seeds derive from (master seed, trial index); trials are
 independent and may run in any order.
+
+The candidate sets are evaluated once.  Every support point of every group
+is one outcome, and the integer batch kernel
+(:func:`goalpost.model.batch_group_totals`, through the oracle's subset
+enumeration) gives a sets × outcomes matrix of scaled gains: int64 when
+every gap numerator below stays under 2**60, exact ``object`` integers
+otherwise.  A trial tallies its draws per outcome with ``np.bincount``, gets
+every set's per-group gap numerator from one matrix product, picks the worst
+gap by integer cross-multiplication and forms a single ``Fraction``.
 """
 
 from __future__ import annotations
@@ -27,9 +36,19 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import EmptySample, ParameterOutOfRange
-from .model import Agent, Instance, RationalLike, TargetSet, improvement_at
-from .model import potential_targets, rational, rational_str
-from .oracle import capped_subsets
+from .model import (
+    INT64_SAFE,
+    Agent,
+    Instance,
+    RationalLike,
+    TargetSet,
+    improvement_at,
+    integer_grid,
+    potential_targets,
+    rational,
+    rational_str,
+)
+from .oracle import evaluated_subsets
 
 
 @dataclass(frozen=True)
@@ -248,30 +267,22 @@ def deviation_experiment(
     else:
         n = required_samples_single(eps, delta, k, dist.capacity)
         mixture = GroupMixture(((Fraction(1), dist),))
-    # One outcome per group and support point.
+    # One outcome per group and support point.  Each outcome is a one-agent
+    # group of its own, so the kernel's group totals are per-outcome gains.
     groups, positions, capacities, probabilities, weights = zip(*(
         (gi, p, d.capacity, q, w * q)
         for gi, (w, d) in enumerate(mixture.components)
         for p, q in d.support
     ))
     num_outcomes = len(weights)
-    candidates = list(capped_subsets(mixture.grid(), k, max_subsets, min_size=1))
-    per_set_gains = [
-        [improvement_at(p, c, targets) for p, c in zip(positions, capacities)]
-        for targets in candidates
-    ]
-    group_outcomes = [
-        [oi for oi in range(num_outcomes) if groups[oi] == gi]
-        for gi in range(mixture.num_groups)
-    ]
-    # A group's expectation weighs its gains by the in-group probabilities.
-    per_set_expected = [
-        tuple(
-            sum((probabilities[oi] * gains[oi] for oi in members), Fraction(0))
-            for members in group_outcomes
-        )
-        for gains in per_set_gains
-    ]
+    outcomes = Instance(
+        tuple(map(Agent, positions, capacities, range(num_outcomes))), num_outcomes
+    )
+    grid = integer_grid(outcomes)
+    gains = np.concatenate([
+        totals for _, totals in
+        evaluated_subsets(outcomes, grid, k, max_subsets, min_size=1)
+    ])
     denom = lcm(*(w.denominator for w in weights))
     if denom >= 2**62:
         raise ParameterOutOfRange(
@@ -279,33 +290,41 @@ def deviation_experiment(
         )
     thresholds = list(accumulate(int(w * denom) for w in weights))
 
+    # A group's expectation weighs its gains by the in-group probabilities,
+    # here in whole units of 1 / (scale · dens[group]).
+    member = np.equal.outer(groups, np.arange(mixture.num_groups))
+    dens = [
+        lcm(*(q.denominator for q, gi in zip(probabilities, groups) if gi == g))
+        for g in range(mixture.num_groups)
+    ]
+    units = [int(q * dens[gi]) for q, gi in zip(probabilities, groups)]
+    # Both terms of |total · den - expected · size| are at most n·(max gain)·den.
+    bound = n * max(grid.capacities) * max(dens)
+    dtype = np.int64 if gains.dtype == np.int64 and bound < INT64_SAFE else object
+    gains = gains.astype(dtype)
+    expected = gains @ (member * np.asarray(units)[:, None]).astype(dtype)
+    dens_row = np.asarray(dens, dtype=dtype)
+
     successes = 0
     worst = Fraction(0)
     for trial in range(trials):
         rng = _trial_rng(seed, trial)
         draws = rng.integers(0, denom, size=n)
         outcome_idx = np.searchsorted(thresholds, draws, side="right")
-        tallies = [0] * num_outcomes
-        for u in outcome_idx:
-            tallies[int(u)] += 1
-        group_sizes = [
-            sum(tallies[oi] for oi in members) for members in group_outcomes
-        ]
-        failed = any(size == 0 for size in group_sizes)
-        trial_worst = Fraction(0)
-        for gains, expected in zip(per_set_gains, per_set_expected):
-            for gi, members in enumerate(group_outcomes):
-                size = group_sizes[gi]
-                if size == 0:
-                    continue
-                total = sum(
-                    (gains[oi] * tallies[oi] for oi in members), Fraction(0)
-                )
-                gap = abs(total / size - expected[gi])
-                if gap > trial_worst:
-                    trial_worst = gap
+        tallies = np.bincount(outcome_idx, minlength=num_outcomes)
+        sizes = tallies @ member
+        totals = gains @ (member * tallies[:, None]).astype(dtype)
+        # The gap of group g is gaps[:, g] / (sizes[g] · dens[g] · scale).
+        gaps = np.abs(totals * dens_row - expected * sizes.astype(dtype))
+        num, den = 0, 1
+        for gi, size in enumerate(sizes.tolist()):
+            if size:
+                top_gap = int(gaps[:, gi].max())
+                if top_gap * den > num * size * dens[gi]:
+                    num, den = top_gap, size * dens[gi]
+        trial_worst = Fraction(num, den * grid.scale)
         worst = max(worst, trial_worst)
-        if not failed and trial_worst <= tolerance:
+        if all(sizes) and trial_worst <= tolerance:
             successes += 1
 
     return DeviationReport(

@@ -10,7 +10,9 @@ put if no such level exists.
 
 The candidate levels, every position and reach, are formed in one place:
 :func:`integer_grid` scales the instance once by its least common
-denominator.  :func:`potential_targets` is the grid's rational view.
+denominator.  :func:`potential_targets` is the grid's rational view, and
+:func:`batch_group_totals` applies the behavior rule to many target sets at
+once on the grid's exact integers.
 """
 
 from __future__ import annotations
@@ -21,6 +23,8 @@ from enum import Enum
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from .errors import (
     CommonCapacityViolated,
@@ -173,8 +177,15 @@ class TargetSet:
     levels: tuple[Fraction, ...] = ()
 
     def __post_init__(self) -> None:
-        normalized = tuple(sorted({rational(v) for v in self.levels}))
-        object.__setattr__(self, "levels", normalized)
+        levels = self.levels
+        if not (
+            isinstance(levels, tuple)
+            and all(isinstance(v, Fraction) for v in levels)
+            and all(a < b for a, b in zip(levels, levels[1:]))
+        ):
+            object.__setattr__(
+                self, "levels", tuple(sorted({rational(v) for v in levels}))
+            )
 
     def __len__(self) -> int:
         return len(self.levels)
@@ -262,6 +273,10 @@ def group_welfare(agents: Sequence[Agent], targets: TargetSet) -> Fraction:
     )
 
 
+# Keep headroom: a DP candidate adds two table entries plus a running value.
+INT64_SAFE = 1 << 60
+
+
 class IntegerGrid(NamedTuple):
     """An instance in whole units of ``1/scale``: exact Python ints."""
 
@@ -269,6 +284,12 @@ class IntegerGrid(NamedTuple):
     positions: tuple[int, ...]
     capacities: tuple[int, ...]
     levels: tuple[int, ...]
+
+    @property
+    def fits_int64(self) -> bool:
+        """True when every level and the sum of all capacities (a bound on
+        any welfare total) stay below ``INT64_SAFE``."""
+        return max(sum(self.capacities), max(self.levels, default=0)) < INT64_SAFE
 
 
 def integer_grid(instance: Instance) -> IntegerGrid:
@@ -294,3 +315,39 @@ def potential_targets(instance: Instance) -> TargetSet:
     """
     grid = integer_grid(instance)
     return TargetSet(tuple(Fraction(v, grid.scale) for v in grid.levels))
+
+
+def batch_group_totals(
+    instance: Instance, grid: IntegerGrid, sets: np.ndarray
+) -> np.ndarray:
+    """Scaled per-group improvement of a batch of target sets.
+
+    ``grid`` is ``integer_grid(instance)`` and ``sets`` a ``(B, s)`` array
+    whose rows are strictly increasing indices into ``grid.levels``.  Row
+    ``b`` of the ``(B, g)`` result is the ``group_totals`` of
+    :func:`improvement_report` for the levels of ``sets[b]``, times
+    ``grid.scale``.  The rule is applied directly: an agent takes the first
+    member at or above the first level strictly above its position, if that
+    level is within its reach.  int64 when ``grid.fits_int64``, exact
+    ``object`` integers otherwise.
+    """
+    dtype = np.int64 if grid.fits_int64 else object
+    rows, size = sets.shape
+    m = len(grid.levels)
+    # Index m is a padding level for "no member left", never within reach.
+    levels = np.asarray((*grid.levels, 0), dtype=dtype)
+    positions = np.asarray(grid.positions, dtype=dtype)
+    reaches = positions + np.asarray(grid.capacities, dtype=dtype)
+    above = np.searchsorted(levels[:m], positions, side="right")
+    beyond = np.searchsorted(levels[:m], reaches, side="right")
+    # Row r shifted by r·(m + 1) keeps the batch one sorted array, so one
+    # search finds every agent's first member in every row.
+    shift = np.arange(rows)[:, None] * (m + 1)
+    first = np.searchsorted((sets + shift).ravel(), above + shift)
+    first -= np.arange(rows)[:, None] * size
+    padded = np.concatenate((sets, np.full((rows, 1), m, dtype=sets.dtype)), axis=1)
+    chosen = np.take_along_axis(padded, first, axis=1)
+    gains = np.where(chosen < beyond, levels[chosen] - positions, 0)
+    member = np.equal.outer([a.group for a in instance.agents],
+                            np.arange(instance.num_groups))
+    return gains @ member.astype(dtype)

@@ -6,24 +6,34 @@ definition.  The enumeration size is checked up front against a hard cap
 (default 2e6 subsets, overridable via the GOALPOST_MAX_SUBSETS environment
 variable) and refused loudly rather than silently truncated: a lying oracle
 is worse than none.
+
+Subsets are enumerated as grid-index arrays, smallest size first and
+lexicographic within a size, and evaluated in fixed-size chunks by
+:func:`goalpost.model.batch_group_totals` on the instance's integer grid:
+int64 when every total fits with headroom, exact ``object`` integers
+otherwise.  Only the winning sets become ``Fraction`` values and
+``TargetSet`` objects, and the chunks keep memory flat in the subset count.
+The kernel applies the behavior rule itself rather than reading the credit
+table, because the oracle is the ground truth the table is tested against.
 """
 
 from __future__ import annotations
 
 import os
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Iterator, Optional, Sequence
 
+import numpy as np
+
 from .errors import ParameterOutOfRange, SearchSpaceTooLarge
 from .model import (
-    EMPTY_TARGETS,
-    ImprovementReport,
     Instance,
+    IntegerGrid,
     TargetSet,
-    improvement_report,
-    potential_targets,
+    batch_group_totals,
+    integer_grid,
     validate_instance,
 )
 from .pareto import FrontierPoint, ParetoFrontier, prune_dominated
@@ -46,24 +56,45 @@ def subset_cap(override: Optional[int] = None) -> int:
     return int(text)
 
 
-def capped_subsets(
-    grid: Sequence[Fraction],
-    k: int,
-    max_subsets: Optional[int] = None,
-    min_size: int = 0,
-) -> Iterator[TargetSet]:
-    """All subsets of ``grid`` of size min_size..k, smallest first; refuses
-    before yielding anything when there are more than the cap."""
-    sizes = range(min_size, min(k, len(grid)) + 1)
-    total = sum(comb(len(grid), size) for size in sizes)
+# Subsets per chunk times agents: each of the kernel's (rows, agents) int64
+# arrays stays at 64 KB, small enough to stay in cache.
+_CHUNK_CELLS = 1 << 13
+
+
+def _index_chunks(
+    m: int, k: int, rows: int, max_subsets: Optional[int], min_size: int
+) -> Iterator[np.ndarray]:
+    """Every subset of ``range(m)`` of size min_size..k, smallest first and
+    lexicographic within a size, as ``(rows, size)`` index arrays (the last
+    chunk of a size may be shorter).  Refuses before yielding anything when
+    there are more subsets than the cap."""
+    sizes = range(min_size, min(k, m) + 1)
+    total = sum(comb(m, size) for size in sizes)
     cap = subset_cap(max_subsets)
     if total > cap:
         raise SearchSpaceTooLarge(
             f"{total} candidate subsets exceed the cap of {cap}"
         )
     for size in sizes:
-        for subset in combinations(grid, size):
-            yield TargetSet(subset)
+        subsets = combinations(range(m), size)
+        while batch := list(islice(subsets, rows)):
+            flat = np.fromiter(chain.from_iterable(batch), np.intp, len(batch) * size)
+            yield flat.reshape(len(batch), size)
+
+
+def evaluated_subsets(
+    instance: Instance,
+    grid: IntegerGrid,
+    k: int,
+    max_subsets: Optional[int] = None,
+    min_size: int = 0,
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Chunks of grid-index subsets of size min_size..k, in enumeration
+    order, each with its ``(rows, g)`` scaled group totals; refuses past the
+    cap before evaluating anything."""
+    rows = max(1, _CHUNK_CELLS // max(instance.size, 1))
+    for sets in _index_chunks(len(grid.levels), k, rows, max_subsets, min_size):
+        yield sets, batch_group_totals(instance, grid, sets)
 
 
 def iter_candidate_sets(
@@ -71,52 +102,61 @@ def iter_candidate_sets(
 ) -> Iterator[TargetSet]:
     """All subsets of the potential-target grid of size 0..k, smallest first."""
     validate_instance(instance)
-    return capped_subsets(potential_targets(instance).levels, k, max_subsets)
+    grid = integer_grid(instance)
+    for sets in _index_chunks(len(grid.levels), k, _CHUNK_CELLS, max_subsets, 0):
+        for row in sets.tolist():
+            yield _target_set(grid, row)
 
 
-def _candidate_reports(
-    instance: Instance, k: int, max_subsets: Optional[int]
-) -> Iterator[tuple[TargetSet, ImprovementReport]]:
-    for targets in iter_candidate_sets(instance, k, max_subsets):
-        yield targets, improvement_report(instance, targets)
+def _target_set(grid: IntegerGrid, row: Sequence[int]) -> TargetSet:
+    return TargetSet(tuple(Fraction(grid.levels[j], grid.scale) for j in row))
 
 
 def _best(
     instance: Instance,
     k: int,
     max_subsets: Optional[int],
-    score: Callable[[ImprovementReport], Fraction],
+    score: Callable[[np.ndarray], np.ndarray],
 ) -> tuple[Fraction, TargetSet]:
-    """Highest score and the first set reaching it; 0 and the empty set when
-    no set scores above 0."""
-    best_value = Fraction(0)
-    best_targets = EMPTY_TARGETS
-    for targets, report in _candidate_reports(instance, k, max_subsets):
-        value = score(report)
-        if value > best_value:
-            best_value = value
-            best_targets = targets
-    return best_value, best_targets
+    """Highest score of the scaled group totals and the first set reaching
+    it; 0 and the empty set when no set scores above 0."""
+    validate_instance(instance)
+    grid = integer_grid(instance)
+    best, witness = 0, ()
+    for sets, totals in evaluated_subsets(instance, grid, k, max_subsets):
+        scores = score(totals)
+        row = int(np.argmax(scores))  # the first maximum of the chunk
+        if scores[row] > best:
+            best, witness = int(scores[row]), sets[row].tolist()
+    return Fraction(best, grid.scale), _target_set(grid, witness)
 
 
 def brute_force_optimum(
     instance: Instance, k: int, max_subsets: Optional[int] = None
 ) -> DpSolution:
     """Exhaustive maximum total improvement over target sets of size <= k."""
-    return DpSolution(*_best(instance, k, max_subsets, lambda r: r.total))
+    return DpSolution(*_best(instance, k, max_subsets, lambda t: t.sum(axis=1)))
 
 
 def brute_force_pareto(
     instance: Instance, k: int, max_subsets: Optional[int] = None
 ) -> ParetoFrontier:
     """Exhaustive non-dominated group-welfare tuples, each with a witness set."""
-    achieved: dict[tuple[Fraction, ...], TargetSet] = {}
-    for targets, report in _candidate_reports(instance, k, max_subsets):
-        achieved.setdefault(report.group_totals, targets)
-    points = prune_dominated(achieved)
-    return ParetoFrontier(
-        tuple(FrontierPoint(w, t) for w, t in points), instance.num_groups
+    validate_instance(instance)
+    grid = integer_grid(instance)
+    achieved: dict[tuple[int, ...], list[int]] = {}
+    for sets, totals in evaluated_subsets(instance, grid, k, max_subsets):
+        for row, welfare in enumerate(map(tuple, totals.tolist())):
+            if welfare not in achieved:
+                # A copy, so that no chunk outlives its turn.
+                achieved[welfare] = sets[row].tolist()
+    points = tuple(
+        FrontierPoint(
+            tuple(Fraction(w, grid.scale) for w in welfare), _target_set(grid, row)
+        )
+        for welfare, row in prune_dominated(achieved)
     )
+    return ParetoFrontier(points, instance.num_groups)
 
 
 def max_min_witness(
@@ -124,7 +164,7 @@ def max_min_witness(
 ) -> tuple[Fraction, TargetSet]:
     """Exhaustive maximum over target sets of the minimum group welfare,
     with the first set attaining it."""
-    return _best(instance, k, max_subsets, lambda r: min(r.group_totals))
+    return _best(instance, k, max_subsets, lambda t: t.min(axis=1))
 
 
 def brute_force_max_min(

@@ -117,7 +117,8 @@ def frontier_dp(
     # An empty grid still has the empty chain at its root.
     prev = [base] * max(m, 1)
     peak = 0
-    for _ in range(k):
+    # No chain holds more than m - 1 targets: every later layer repeats.
+    for _ in range(min(k, max(m - 1, 0))):
         # suffix[s]: the pruned union over j >= s, for s past row 0's band.
         suffix: list[dict[tuple[int, ...], tuple[int, ...]]] = [{}] * (m + 1)
         for s in range(m - 1, w, -1):

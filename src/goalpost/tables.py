@@ -39,9 +39,6 @@ import numpy as np
 from .errors import SearchSpaceTooLarge
 from .model import Instance, IntegerGrid, TargetSet, integer_grid
 
-# Keep headroom: DP candidates add two table entries plus a running value.
-_INT64_SAFE = 1 << 60
-
 
 def _physical_memory() -> Optional[int]:
     """Bytes of physical memory, or None where the system cannot say."""
@@ -89,8 +86,7 @@ class ContributionTable:
         grid = integer_grid(instance)
         self.scale: int = grid.scale
         self.levels = tuple(Fraction(v, grid.scale) for v in grid.levels)
-        top = max(sum(grid.capacities), max(grid.levels, default=0))
-        int64_ok = top < _INT64_SAFE
+        int64_ok = grid.fits_int64
         if engine == "numpy" and not int64_ok:
             raise ValueError("instance values too large for the int64 engine")
         if engine == "auto":

@@ -134,11 +134,15 @@ def _solve(table: ContributionTable, k: int, n_lb: int) -> Optional[DpSolution]:
     if k == 0 or table.grid_size <= 1:
         # Nobody can improve: only an empty lower bound is met.
         return DpSolution(Fraction(0), EMPTY_TARGETS) if n_lb == 0 else None
-    values, choices = _dp_rows(table, k, n_lb)
-    root = int(values[k][n_lb, 0])
+    # No chain holds more than m - 1 targets: every later layer repeats.
+    budget = min(k, table.grid_size - 1)
+    values, choices = _dp_rows(table, budget, n_lb)
+    root = int(values[budget][n_lb, 0])
     if root < 0:
         return None
-    return DpSolution(table.to_fraction(root), _reconstruct(table, choices, k, n_lb))
+    return DpSolution(
+        table.to_fraction(root), _reconstruct(table, choices, budget, n_lb)
+    )
 
 
 def max_total_improvement(

@@ -1,9 +1,12 @@
 import json
+import time
 from pathlib import Path
 
 import pytest
 
+from goalpost import potential_targets
 from goalpost.cli import main
+from goalpost.io import load_instance
 
 DATA = Path(__file__).parent / "data"
 CLUSTER = str(DATA / "cluster.json")
@@ -45,6 +48,25 @@ def test_solve_zero_budget(capsys):
     assert code == 0
     assert payload["targets"] == []
     assert payload["value"] == "0"
+
+
+@pytest.mark.parametrize("argv", [
+    ("solve", "--instance", CLUSTER),
+    ("solve-lb", "--instance", CLUSTER, "--n-lb", "2"),
+    ("pareto", "--instance", TWO_GROUPS),
+    ("maxmin", "--instance", TWO_GROUPS),
+])
+def test_budgets_past_the_longest_chain_cost_nothing(capsys, argv):
+    # No chain holds more than m - 1 targets, so a larger budget repeats it.
+    m = len(potential_targets(load_instance(argv[2])).levels)
+    _, longest = run_json(capsys, *argv, "--k", str(m - 1))
+    start = time.perf_counter()
+    code, huge = run_json(capsys, *argv, "--k", str(10**9))
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    assert huge.pop("k") == 10**9
+    longest.pop("k")
+    assert huge == longest
 
 
 def test_output_is_byte_identical_across_runs(capsys):

@@ -1,9 +1,13 @@
 from fractions import Fraction as F
+from itertools import accumulate, combinations
+from math import lcm
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from goalpost import learning
 from goalpost import (
     GroupMixture,
     PositionDistribution,
@@ -168,6 +172,16 @@ def test_tolerance_factor_knob():
     assert loose.success_fraction == 1
 
 
+def test_a_group_without_draws_fails_the_trial(monkeypatch):
+    # One draw for two groups: the other group is always empty, while the
+    # drawn point mass has no gap at all.
+    monkeypatch.setattr(learning, "required_samples_groups", lambda *args: 1)
+    report = deviation_experiment(MIXTURE, 1, F(1, 2), F(1, 2), 5, 0,
+                                  tolerance_factor=100)
+    assert (report.n, report.worst_deviation) == (1, 0)
+    assert report.success_fraction == 0
+
+
 def test_report_serialization_shape():
     report = deviation_experiment(POINT_MASS, 1, F(1, 2), F(1, 2), 5, 3)
     payload = report.to_jsonable()
@@ -199,3 +213,76 @@ def test_grids_are_the_support_positions_and_reaches(dists):
     assert dists[0].grid() == levels(dists[:1])
     mixture = GroupMixture(tuple((F(1, len(dists)), d) for d in dists))
     assert mixture.grid() == levels(dists)
+
+
+def reference_deviation(dist, k, epsilon, delta, trials, seed):
+    """The experiment written out per set and per trial in Fractions, with
+    the public expectation and sample-mean functions."""
+    if isinstance(dist, GroupMixture):
+        mixture = dist
+        n = required_samples_groups(epsilon, delta, k, dist.delta_max,
+                                    dist.num_groups, dist.alpha_min)
+    else:
+        mixture = GroupMixture(((F(1), dist),))
+        n = required_samples_single(epsilon, delta, k, dist.capacity)
+    outcomes = [(gi, p, w * q) for gi, (w, d) in enumerate(mixture.components)
+                for p, q in d.support]
+    denom = lcm(*(w.denominator for _, _, w in outcomes))
+    thresholds = list(accumulate(int(w * denom) for _, _, w in outcomes))
+    grid = mixture.grid()
+    candidates = [TargetSet(subset) for size in range(1, k + 1)
+                  for subset in combinations(grid, size)]
+    successes, worst = 0, F(0)
+    for trial in range(trials):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, trial)))
+        drawn = np.searchsorted(thresholds, rng.integers(0, denom, size=n), side="right")
+        samples = [[] for _ in mixture.components]
+        for u in drawn:
+            gi, p, _ = outcomes[u]
+            samples[gi].append(p)
+        gap = max(
+            (abs(empirical_improvement(sample, d.capacity, targets)
+                 - expected_improvement(d, targets))
+             for targets in candidates
+             for (_, d), sample in zip(mixture.components, samples) if sample),
+            default=F(0),
+        )
+        worst = max(worst, gap)
+        successes += all(samples) and gap <= epsilon
+    return n, F(successes, trials), worst
+
+
+def _point_masses(*entries):
+    return PositionDistribution(tuple((F(p), F(q, 7)) for p, q in entries), F(1))
+
+
+@settings(max_examples=40, deadline=None)
+# The worst gap sits in a group other than the one with the largest
+# numerator, so only a cross-multiplied comparison finds it.
+@example(dists=[_point_masses((5, 4), (8, 2), (0, 1)), _point_masses((5, 7)),
+                _point_masses((8, 5), (1, 2))],
+         single=False, lift=0, k=1, epsilon_per_capacity=F(1, 2), trials=2, seed=417)
+@given(st.lists(distributions(), min_size=1, max_size=3), st.booleans(),
+       st.sampled_from([0, 2**62]), st.integers(1, 2),
+       st.sampled_from([F(1, 2), F(1), F(2)]), st.integers(1, 3),
+       st.integers(0, 2**32))
+def test_deviation_experiment_matches_a_per_set_reference(
+    dists, single, lift, k, epsilon_per_capacity, trials, seed
+):
+    # A lift past 2**62 sends the gain matrix down the object path.
+    dists = [PositionDistribution(tuple((p + lift, q) for p, q in d.support), d.capacity)
+             for d in dists]
+    if single:
+        dist = dists[0]
+    else:
+        weights = [F(i + 1) for i in range(len(dists))]
+        dist = GroupMixture(tuple((w / sum(weights), d) for w, d in zip(weights, dists)))
+    top = max(d.capacity for d in dists[:1 if single else None])
+    # An epsilon on the capacity's scale keeps the sample size small.
+    epsilon = epsilon_per_capacity * max(top, F(1))
+    report = deviation_experiment(dist, k, epsilon, F(1, 4), trials, seed)
+    n, success_fraction, worst = reference_deviation(dist, k, epsilon, F(1, 4),
+                                                     trials, seed)
+    assert (report.n, report.success_fraction, report.worst_deviation) == (
+        n, success_fraction, worst
+    )

@@ -1,5 +1,6 @@
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -13,8 +14,10 @@ from goalpost import (
     eligible_target,
     improvement_report,
     potential_targets,
+    rational,
     validate_instance,
 )
+from goalpost.model import batch_group_totals, integer_grid
 from goalpost.errors import (
     CommonCapacityViolated,
     GroupIndexOutOfRange,
@@ -113,6 +116,26 @@ def test_target_set_merges_duplicates_and_sorts():
     assert len(ts) == 3
 
 
+level_values = st.one_of(
+    st.integers(-20, 20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6),
+    st.fractions(min_value=-20, max_value=20, max_denominator=6).map(str),
+)
+
+
+@given(st.lists(level_values, max_size=8), st.sampled_from(["as is", "sorted", "doubled"]))
+@settings(max_examples=200, deadline=None)
+def test_target_set_normalizes_any_input(values, order):
+    if order == "sorted":
+        values = sorted(values, key=rational)
+    elif order == "doubled":
+        values = sorted(values + values, key=rational)
+    expected = tuple(sorted(set(map(rational, values))))
+    assert TargetSet(tuple(values)).levels == expected
+    assert TargetSet(values).levels == expected
+    assert TargetSet(expected).levels == expected
+
+
 small_rationals = st.fractions(
     min_value=0, max_value=8, max_denominator=4
 )
@@ -178,3 +201,36 @@ def test_grid_restriction_is_lossless(inst, targets):
     k = len(targets)
     achieved = improvement_report(inst, targets).total
     assert brute_force_optimum(inst, k).value >= achieved
+
+
+@st.composite
+def lifted_instances(draw):
+    """``instances()`` with every position raised by a lift.  A nonzero lift
+    puts scaled levels past 2**62, which sends the batch kernel down its
+    ``object`` path."""
+    inst = draw(instances())
+    lift = draw(st.sampled_from([0, 2**62, F(2**70, 2**61 - 1)]))
+    agents = tuple(Agent(a.position + lift, a.capacity, a.group) for a in inst.agents)
+    return Instance(agents, inst.num_groups), lift
+
+
+@given(lifted_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_batch_kernel_rows_are_scaled_reports(lifted, data):
+    inst, lift = lifted
+    grid = integer_grid(inst)
+    m = len(grid.levels)
+    size = data.draw(st.integers(0, min(m, 3)))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True)
+        .map(sorted),
+        min_size=1, max_size=6,
+    ))
+    sets = np.array(rows, np.intp).reshape(len(rows), size)
+    totals = batch_group_totals(inst, grid, sets)
+    assert totals.dtype == (object if lift else np.int64)
+    assert totals.shape == (len(rows), inst.num_groups)
+    levels = potential_targets(inst).levels
+    for row, got in zip(rows, totals.tolist()):
+        report = improvement_report(inst, TargetSet(tuple(levels[j] for j in row)))
+        assert got == [total * grid.scale for total in report.group_totals]

@@ -1,7 +1,10 @@
+import tracemalloc
 from fractions import Fraction as F
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalpost import (
     Agent,
@@ -11,9 +14,14 @@ from goalpost import (
     brute_force_max_min,
     brute_force_optimum,
     brute_force_pareto,
+    GroupMixture,
+    PositionDistribution,
+    deviation_experiment,
     improvement_report,
     iter_candidate_sets,
+    potential_targets,
 )
+from goalpost import oracle
 from goalpost.errors import ParameterOutOfRange, SearchSpaceTooLarge
 from helpers import random_integral_instance
 
@@ -49,6 +57,26 @@ def test_enumeration_cap_is_enforced():
     inst = Instance.common(list(range(10)), 1)
     with pytest.raises(SearchSpaceTooLarge):
         brute_force_optimum(inst, 5, max_subsets=10)
+
+
+def test_caps_refuse_before_any_set_is_evaluated(monkeypatch):
+    def evaluated(*args):
+        raise AssertionError("a set was evaluated past the cap")
+
+    monkeypatch.setattr(oracle, "batch_group_totals", evaluated)
+    inst = Instance.common(list(range(10)), 1)
+    with pytest.raises(SearchSpaceTooLarge):
+        brute_force_optimum(inst, 5, max_subsets=10)
+    with pytest.raises(SearchSpaceTooLarge):
+        oracle.max_min_witness(inst, 5, max_subsets=10)
+    dist = PositionDistribution(((F(0), F(1, 2)), (F(1), F(1, 2))), F(1))
+    with pytest.raises(SearchSpaceTooLarge):
+        deviation_experiment(dist, 2, F(1, 2), F(1, 2), 3, 0, max_subsets=2)
+    monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "3")
+    with pytest.raises(SearchSpaceTooLarge):
+        brute_force_pareto(inst, 2)
+    with pytest.raises(SearchSpaceTooLarge):
+        deviation_experiment(GroupMixture(((F(1), dist),)), 2, F(1, 2), F(1, 2), 3, 0)
 
 
 def test_cap_override_via_environment(monkeypatch):
@@ -94,3 +122,67 @@ def test_off_grid_placements_never_beat_the_grid_optimum(rng):
                 value = improvement_report(inst, TargetSet(subset)).total
                 best_off_grid = max(best_off_grid, value)
         assert brute_force_optimum(inst, k).value >= best_off_grid
+
+
+def test_enumeration_memory_does_not_grow_with_the_subset_count():
+    # 40 levels and k = 4: 102,091 subsets.  Evaluated in one batch, a single
+    # (subsets, agents) int64 array would take 16 MB.
+    inst = Instance(tuple(Agent(2 * i, 1) for i in range(20)), 1)
+    tracemalloc.start()
+    try:
+        value = brute_force_optimum(inst, 4).value
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == 4
+    assert peak < 4 * 2**20
+
+
+positions = st.fractions(min_value=0, max_value=8, max_denominator=3)
+
+
+@st.composite
+def oracle_instances(draw):
+    """Small rational instances, some lifted past 2**62 (the ``object`` path)."""
+    g = draw(st.integers(1, 3))
+    lift = draw(st.sampled_from([0, 0, 2**62, F(2**70, 2**61 - 1)]))
+    members = draw(st.lists(
+        st.tuples(positions, st.fractions(0, 3, max_denominator=2), st.integers(0, g - 1)),
+        max_size=5,
+    ))
+    return Instance(tuple(Agent(p + lift, c, gi) for p, c, gi in members), g)
+
+
+def _first_best(reports, score):
+    best, witness = F(0), TargetSet(())
+    for targets, report in reports:
+        if score(report) > best:
+            best, witness = score(report), targets
+    return best, witness
+
+
+@given(oracle_instances(), st.integers(0, 3))
+@settings(max_examples=120, deadline=None)
+def test_oracle_matches_a_per_set_report_loop(inst, k):
+    levels = potential_targets(inst).levels
+    reports = [
+        (TargetSet(subset), improvement_report(inst, TargetSet(subset)))
+        for size in range(min(k, len(levels)) + 1)
+        for subset in combinations(levels, size)
+    ]
+    value, targets = _first_best(reports, lambda r: r.total)
+    solution = brute_force_optimum(inst, k)
+    assert (solution.value, solution.targets) == (value, targets)
+    assert oracle.max_min_witness(inst, k) == _first_best(
+        reports, lambda r: min(r.group_totals)
+    )
+    first: dict = {}
+    for targets, report in reports:
+        first.setdefault(report.group_totals, targets)
+    expected = sorted(
+        (welfare, targets) for welfare, targets in first.items()
+        if not any(other != welfare and all(o >= w for o, w in zip(other, welfare))
+                   for other in first)
+    )
+    frontier = brute_force_pareto(inst, k)
+    assert [(p.welfare, p.targets) for p in frontier.points] == expected

@@ -12,6 +12,7 @@ from goalpost import (
     max_total_improvement,
     max_total_with_min_improvers,
     optimal_target_count_sweep,
+    pareto_frontier,
 )
 from helpers import random_integral_instance
 
@@ -222,6 +223,22 @@ def test_sweep_entries_match_individual_solves(rng):
         curve = optimal_target_count_sweep(inst, 4)
         for entry in curve.entries:
             assert entry.value == max_total_improvement(inst, entry.k).value
+
+
+def test_a_budget_past_the_longest_chain_uses_every_level():
+    # Levels 0..4 and every level above 0 serves one agent, so the optimum
+    # needs all m - 1 = 4 targets, at k = 4 and at any larger k.
+    inst = Instance.common([0, 1, 2, 3], 1, groups=[0, 1, 0, 1])
+    every_level = TargetSet((1, 2, 3, 4))
+    for k in (4, 10**9):
+        solution = max_total_improvement(inst, k)
+        assert (solution.value, solution.targets) == (4, every_level)
+        assert max_total_with_min_improvers(inst, k, 4).targets == every_level
+        frontier = pareto_frontier(inst, k)
+        assert [(p.welfare, p.targets) for p in frontier.points] == [
+            ((F(2), F(2)), every_level)
+        ]
+    assert max_total_improvement(inst, 3).value == 3
 
 
 def test_negative_budget_rejected():
