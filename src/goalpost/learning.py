@@ -19,9 +19,12 @@ is one outcome, and the integer batch kernel
 (:func:`goalpost.model.batch_group_totals`, through the oracle's subset
 enumeration) gives a sets × outcomes matrix of scaled gains: int64 when
 every gap numerator below stays under 2**60, exact ``object`` integers
-otherwise.  A trial tallies its draws per outcome with ``np.bincount``, gets
-every set's per-group gap numerator from one matrix product, picks the worst
-gap by integer cross-multiplication and forms a single ``Fraction``.
+otherwise.  A trial draws its sample ``DRAW_CHUNK`` values at a time and
+adds up the chunks' per-outcome ``np.bincount`` tallies, so its memory does
+not grow with the sample size (the generator's stream does not depend on how
+the draws are split).  It gets every set's per-group gap numerator from one
+matrix product, picks the worst gap by integer cross-multiplication and
+forms a single ``Fraction``.
 """
 
 from __future__ import annotations
@@ -229,6 +232,24 @@ class DeviationReport:
         }
 
 
+# Draws held in memory at once by one trial: 8 MiB of int64.
+DRAW_CHUNK = 2**20
+
+
+def _tally_draws(
+    rng: np.random.Generator, n: int, denom: int, thresholds: Sequence[int]
+) -> np.ndarray:
+    """How many of ``n`` uniform draws below ``denom`` fall on each outcome;
+    outcome ``o`` takes the draws below ``thresholds[o]`` and not below the
+    one before.  Drawn ``DRAW_CHUNK`` at a time."""
+    tallies = np.zeros(len(thresholds), dtype=np.int64)
+    for start in range(0, n, DRAW_CHUNK):
+        draws = rng.integers(0, denom, size=min(DRAW_CHUNK, n - start))
+        outcome_idx = np.searchsorted(thresholds, draws, side="right")
+        tallies += np.bincount(outcome_idx, minlength=len(thresholds))
+    return tallies
+
+
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
 
@@ -308,10 +329,7 @@ def deviation_experiment(
     successes = 0
     worst = Fraction(0)
     for trial in range(trials):
-        rng = _trial_rng(seed, trial)
-        draws = rng.integers(0, denom, size=n)
-        outcome_idx = np.searchsorted(thresholds, draws, side="right")
-        tallies = np.bincount(outcome_idx, minlength=num_outcomes)
+        tallies = _tally_draws(_trial_rng(seed, trial), n, denom, thresholds)
         sizes = tallies @ member
         totals = gains @ (member * tallies[:, None]).astype(dtype)
         # The gap of group g is gaps[:, g] / (sizes[g] · dens[g] · scale).

@@ -7,6 +7,20 @@ targets.  Dominated tuples are discarded at every state, not just at the
 root: tuples compose additively along transitions, so dominance is preserved
 and the per-state sets stay within their pseudo-polynomial bound.
 
+Pruning is a skyline scan (:func:`prune_dominated`).  A state's candidates
+are sorted once in descending lexicographic order; then every earlier tuple
+is at least as large in the first group, and a tuple is dominated exactly
+when an earlier kept one is weakly larger in every other group.  With two
+groups that test is a running maximum, and with three a staircase of the
+kept (second, third) pairs searched with ``bisect``, so a state of ``c``
+candidates costs O(c log c) instead of O(c²) tuple comparisons; four or
+more groups compare each candidate with the kept tuples.
+
+A tuple does not carry its witness chain.  It stores a back-pointer
+``(j, index)``: its lowest target ``j`` and the position of the tuple it
+extends in state ``j`` of the layer below.  Only the pointers of each layer
+are kept, and the root's chains are walked once at the end.
+
 The recursion, :func:`frontier_dp`, works on integer tuples from any per-cell
 gain; the exact frontier feeds it scaled group credits, and the max-min
 approximation scheme feeds it credits quantized to whole rounding steps.  It
@@ -22,8 +36,12 @@ scheme instead.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
+from math import inf
+from operator import add, ge, itemgetter
 from typing import Callable, Mapping, Optional
 
 from .errors import NonIntegralInstance
@@ -54,23 +72,74 @@ class ParetoFrontier:
         return frozenset(p.welfare for p in self.points)
 
 
-def _dominates(a: tuple, b: tuple) -> bool:
-    """True when a is componentwise >= b and differs somewhere."""
-    return a != b and all(x >= y for x, y in zip(a, b))
+def _skyline(ranked: list[tuple[tuple, object]]) -> list[tuple[tuple, object]]:
+    """The non-dominated ``(key, payload)`` pairs of ``ranked``, in its order.
+
+    ``ranked`` lists its keys in descending lexicographic order, so every
+    earlier key is at least as large in the first coordinate, and a key is
+    dominated (or repeats a kept key) exactly when some kept key is weakly
+    larger on all the remaining coordinates.  Of equal keys the first is kept.
+    """
+    if not ranked:
+        return []
+    g = len(ranked[0][0])
+    if g <= 1:
+        return ranked[:1]
+    kept = []
+    if g == 2:
+        # Running maximum of the second coordinate.
+        best = -inf
+        for pair in ranked:
+            y = pair[0][1]
+            if y > best:
+                best = y
+                kept.append(pair)
+    elif g == 3:
+        # Staircase of the kept (b, c) pairs that no other kept pair covers:
+        # b ascending and c descending, so ``lows`` (-c) ascends too.  It
+        # ends in an infinite b that covers nothing, so a lookup never runs off.
+        bs: list = [inf]
+        lows: list = [inf]
+        for pair in ranked:
+            _, b, c = pair[0]
+            low = -c
+            # The first kept b' >= b has the largest c' among them.
+            at = bisect_left(bs, b)
+            if lows[at] <= low:
+                continue
+            # Replace the steps (b', c') <= (b, c), which sit just below ``at``.
+            first = bisect_left(lows, low, 0, at)
+            bs[first:at] = (b,)
+            lows[first:at] = (low,)
+            kept.append(pair)
+    else:
+        rests: list[tuple] = []
+        for pair in ranked:
+            rest = pair[0][1:]
+            if not any(all(map(ge, prev, rest)) for prev in rests):
+                rests.append(rest)
+                kept.append(pair)
+    return kept
+
+
+def _pruned(candidates: list[tuple[tuple, object]]) -> list[tuple[tuple, object]]:
+    """The non-dominated pairs in ascending lexicographic order; of equal
+    keys the first listed keeps its payload (the sort is stable)."""
+    kept = _skyline(sorted(candidates, key=itemgetter(0), reverse=True))
+    kept.reverse()
+    return kept
 
 
 def prune_dominated(candidates: Mapping[tuple, object]) -> list[tuple[tuple, object]]:
     """Keep the non-dominated keys (with payloads), sorted lexicographically.
 
-    Scanning in descending lexicographic order means any dominator of a tuple
-    is seen before the tuple itself, so one pass against the kept list works.
+    A skyline prune: the keys are scanned in descending lexicographic order,
+    so a key is dominated exactly when some key kept before it is weakly
+    larger on the coordinates after the first.  For two coordinates that is
+    a running maximum, for three a bisected staircase of the kept pairs, and
+    for more a test against each kept key.
     """
-    kept: list[tuple[tuple, object]] = []
-    for key in sorted(candidates, reverse=True):
-        if not any(_dominates(prev, key) for prev, _ in kept):
-            kept.append((key, candidates[key]))
-    kept.reverse()
-    return kept
+    return _pruned(list(candidates.items()))
 
 
 def _require_integral(instance: Instance) -> None:
@@ -81,18 +150,10 @@ def _require_integral(instance: Instance) -> None:
         )
 
 
-def _extend(
-    merged: dict[tuple[int, ...], tuple[int, ...]],
-    j: int,
-    added: tuple[int, ...],
-    state: Mapping[tuple[int, ...], tuple[int, ...]],
-) -> None:
-    """Add ``state``'s tuples shifted by ``added``, with ``j`` prepended to
-    their chains; a tuple already in ``merged`` keeps its witness."""
-    for welfare, chain in state.items():
-        candidate = tuple(w + d for w, d in zip(welfare, added))
-        if candidate not in merged:
-            merged[candidate] = (j,) + chain
+# A witness back-pointer: (j, index of the tuple in state j of the layer
+# below), or None for the empty chain.
+Link = Optional[tuple[int, int]]
+State = list[tuple[tuple[int, ...], Link]]
 
 
 def frontier_dp(
@@ -109,35 +170,55 @@ def frontier_dp(
     Past the band, ``gain(i, j) = gain(0, j)``, so every state shares one
     pruned suffix union of ``prev[j] + gain(0, j)``, built right to left; in
     it and in each state, a tuple keeps the witness of its lowest ``j``.
+    Each tuple stores its witness as a back-pointer into the layer below;
+    the chains are walked once, at the root.
     """
     m, w = table.grid_size, table.width
     near = [[gain(i, j) for j in range(i + 1, min(i + w + 1, m))] for i in range(m - 1)]
     far = {j: gain(0, j) for j in range(w + 1, m)}
-    base = {(0,) * table.instance.num_groups: ()}
+    base: State = [((0,) * table.instance.num_groups, None)]
     # An empty grid still has the empty chain at its root.
     prev = [base] * max(m, 1)
+    # layers[t][j]: the back-pointers stored in state j of layer t.
+    layers: list[list[list[Link]]] = []
     peak = 0
     # No chain holds more than m - 1 targets: every later layer repeats.
     for _ in range(min(k, max(m - 1, 0))):
+        keys = [[key for key, _ in state] for state in prev]
+        layers.append([[link for _, link in state] for state in prev])
+        # What a candidate drawn from state j points back to.
+        pointers = [
+            list(zip(repeat(j), range(len(state)))) for j, state in enumerate(prev)
+        ]
+
+        def shifted(j: int, added: tuple[int, ...]) -> State:
+            moved = [tuple(map(add, key, added)) for key in keys[j]]
+            return list(zip(moved, pointers[j]))
+
         # suffix[s]: the pruned union over j >= s, for s past row 0's band.
-        suffix: list[dict[tuple[int, ...], tuple[int, ...]]] = [{}] * (m + 1)
+        suffix: list[State] = [[]] * (m + 1)
         for s in range(m - 1, w, -1):
-            merged: dict[tuple[int, ...], tuple[int, ...]] = {}
-            _extend(merged, s, far[s], prev[s])
-            for welfare, chain in suffix[s + 1].items():
-                merged.setdefault(welfare, chain)
-            suffix[s] = dict(prune_dominated(merged))
-        cur: list[dict[tuple[int, ...], tuple[int, ...]]] = [base] * len(prev)
+            suffix[s] = _pruned(shifted(s, far[s]) + suffix[s + 1])
+        cur = [base] * len(prev)
         for i in range(m - 1):
-            merged = {}
+            candidates = []
             for j, added in enumerate(near[i], i + 1):
-                _extend(merged, j, added, prev[j])
-            for welfare, chain in suffix[min(i + w + 1, m)].items():
-                merged.setdefault(welfare, chain)
-            cur[i] = dict(prune_dominated(merged))
+                candidates += shifted(j, added)
+            cur[i] = _pruned(candidates + suffix[min(i + w + 1, m)])
             peak = max(peak, len(cur[i]))
         prev = cur
-    return prev[0], peak
+
+    def chain(link: Link) -> tuple[int, ...]:
+        out = []
+        for links in reversed(layers):
+            if link is None:
+                break
+            j, index = link
+            out.append(j)
+            link = links[j][index]
+        return tuple(out)
+
+    return {key: chain(link) for key, link in prev[0]}, peak
 
 
 def pareto_frontier(

@@ -175,22 +175,24 @@ def optimal_target_count_sweep(
     validate_instance(instance)
     table = ContributionTable(instance, engine=engine)
     if table.grid_size <= 1:
-        entries = tuple(
-            BudgetPoint(k, Fraction(0), EMPTY_TARGETS) for k in range(k_max + 1)
-        )
-        return BudgetCurve(entries, 0)
-    values, choices = _dp_rows(table, k_max)
-    entries = []
-    for k in range(k_max + 1):
-        entries.append(
+        entries = [BudgetPoint(0, Fraction(0), EMPTY_TARGETS)]
+    else:
+        # No chain holds more than m - 1 targets: every later budget repeats.
+        budget = min(k_max, table.grid_size - 1)
+        values, choices = _dp_rows(table, budget)
+        entries = [
             BudgetPoint(
                 k,
                 table.to_fraction(int(values[k][0, 0])),
                 _reconstruct(table, choices, k),
             )
-        )
-    best = entries[-1].value
-    min_k = next(e.k for e in entries if e.value == best)
+            for k in range(budget + 1)
+        ]
+    last = entries[-1]
+    entries += [
+        BudgetPoint(k, last.value, last.targets) for k in range(len(entries), k_max + 1)
+    ]
+    min_k = next(e.k for e in entries if e.value == last.value)
     return BudgetCurve(tuple(entries), min_k)
 
 

@@ -49,3 +49,54 @@ def random_group_capacity_instance(rng: random.Random) -> Instance:
         Agent(Fraction(rng.randint(0, 16), 2), caps[i % g], i % g) for i in range(n)
     )
     return Instance(agents, g)
+
+
+def pairwise_prune(candidates):
+    """Reference prune: every candidate against every kept key, scanned in
+    descending lexicographic order; returns ``(key, payload)`` pairs sorted."""
+    def dominates(a, b):
+        return a != b and all(x >= y for x, y in zip(a, b))
+
+    kept = []
+    for key in sorted(candidates, reverse=True):
+        if not any(dominates(prev, key) for prev, _ in kept):
+            kept.append((key, candidates[key]))
+    kept.reverse()
+    return kept
+
+
+def chain_frontier_dp(table, k, gain):
+    """Reference frontier recursion: every candidate carries its whole
+    witness chain, and each state is pruned with :func:`pairwise_prune`.
+    Returns the root state, tuples mapped to chains, and the largest state."""
+    def extend(merged, j, added, state):
+        for welfare, chain in state.items():
+            candidate = tuple(w + d for w, d in zip(welfare, added))
+            if candidate not in merged:
+                merged[candidate] = (j,) + chain
+
+    m, w = table.grid_size, table.width
+    near = [[gain(i, j) for j in range(i + 1, min(i + w + 1, m))] for i in range(m - 1)]
+    far = {j: gain(0, j) for j in range(w + 1, m)}
+    base = {(0,) * table.instance.num_groups: ()}
+    prev = [base] * max(m, 1)
+    peak = 0
+    for _ in range(min(k, max(m - 1, 0))):
+        suffix = [{}] * (m + 1)
+        for s in range(m - 1, w, -1):
+            merged = {}
+            extend(merged, s, far[s], prev[s])
+            for welfare, chain in suffix[s + 1].items():
+                merged.setdefault(welfare, chain)
+            suffix[s] = dict(pairwise_prune(merged))
+        cur = [base] * len(prev)
+        for i in range(m - 1):
+            merged = {}
+            for j, added in enumerate(near[i], i + 1):
+                extend(merged, j, added, prev[j])
+            for welfare, chain in suffix[min(i + w + 1, m)].items():
+                merged.setdefault(welfare, chain)
+            cur[i] = dict(pairwise_prune(merged))
+            peak = max(peak, len(cur[i]))
+        prev = cur
+    return prev[0], peak

@@ -3,6 +3,8 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from goalpost import potential_targets
 from goalpost.cli import main
@@ -67,6 +69,23 @@ def test_budgets_past_the_longest_chain_cost_nothing(capsys, argv):
     assert huge.pop("k") == 10**9
     longest.pop("k")
     assert huge == longest
+
+
+def test_sweep_past_the_longest_chain_repeats_its_last_entry(capsys):
+    m = len(potential_targets(load_instance(CLUSTER)).levels)
+    _, longest = run_json(capsys, "sweep", "--instance", CLUSTER, "--k", str(m - 1))
+    start = time.perf_counter()
+    code, huge = run_json(capsys, "sweep", "--instance", CLUSTER, "--k", "20000")
+    assert time.perf_counter() - start < 10
+    assert code == 0
+    curve = huge["curve"]
+    assert len(curve) == 20001
+    assert curve[: m] == longest["curve"]
+    last = dict(longest["curve"][-1])
+    for k, entry in enumerate(curve[m:], m):
+        last["k"] = k
+        assert entry == last
+    assert huge["min_k_for_max"] == longest["min_k_for_max"]
 
 
 def test_output_is_byte_identical_across_runs(capsys):
@@ -447,3 +466,93 @@ def test_learn_bound_overflow_is_an_error_envelope(capsys, tmp_path):
         assert code == 1, path
         assert payload["error"] == "ParameterOutOfRange", path
 
+
+
+def mostly(good, bad):
+    """``good`` nine times in ten, so most documents get past the parser."""
+    return st.integers(0, 9).flatmap(lambda roll: bad if roll == 9 else good)
+
+
+# JSON values a hand-written instance could hold where a rational belongs.
+FUZZ_NUMBERS = mostly(
+    st.one_of(
+        st.integers(0, 12),
+        st.sampled_from([1, 2, "3/2", "7/3", "1e3", "1e-3", 2**62, 10**30]),
+    ),
+    st.one_of(
+        st.integers(-3, -1),
+        st.integers(-2**80, 2**80),
+        st.floats(),
+        st.sampled_from(["1/0", "-1/2", "abc", "", "0.5", None, True]),
+    ),
+)
+FUZZ_GROUPS = mostly(
+    st.integers(0, 3),
+    st.one_of(st.integers(-3, 8), st.sampled_from([1.5, "0", None, True, [0]])),
+)
+FUZZ_AGENT = st.fixed_dictionaries(
+    {"position": FUZZ_NUMBERS, "capacity": FUZZ_NUMBERS},
+    optional={"group": FUZZ_GROUPS},
+)
+FUZZ_INSTANCE = mostly(
+    st.fixed_dictionaries(
+        {"agents": st.lists(mostly(FUZZ_AGENT, st.integers(0, 2)), max_size=5)},
+        optional={
+            "num_groups": mostly(
+                st.integers(1, 4),
+                st.one_of(st.integers(-2, 8), st.sampled_from(["2", 1.0, None, False])),
+            ),
+            "capacity_model": mostly(
+                st.just("individualized"), st.sampled_from(["common", "bogus", 3])
+            ),
+        },
+    ),
+    st.sampled_from([[], 3, "agents", None, {"agents": {}}, {}]),
+)
+FUZZ_K = mostly(
+    st.one_of(st.integers(0, 5).map(str), st.sampled_from(["1000000000", str(2**70)])),
+    st.sampled_from(["-1", "abc", "1.5", "", "+2", "1/2"]),
+)
+FUZZ_EPSILON = mostly(
+    st.one_of(st.fractions(0, 1).filter(lambda e: 0 < e < 1).map(str),
+              st.sampled_from(["1/2", "1/10", "1e-3", f"1/{10**30}"])),
+    st.sampled_from(["0", "1", "-1/2", "3/2", "1/0", "abc", "", "nan", "inf",
+                     str(10**30)]),
+)
+
+
+@given(
+    document=FUZZ_INSTANCE,
+    command=st.sampled_from(["pareto", "maxmin", "fptas", "factor"]),
+    k=FUZZ_K,
+    epsilon=FUZZ_EPSILON,
+    budget=st.one_of(st.none(), st.integers(-2, 5).map(str), st.just("abc")),
+)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_instance_document_answers_or_fails_as_documented(
+    capsys, tmp_path, document, command, k, epsilon, budget
+):
+    """Exit 0 with JSON, exit 1 with a JSON error envelope, or a usage error
+    (exit 2); no exception escapes ``main``."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    argv = [command, "--instance", str(path), "--k", k]
+    if command == "fptas":
+        argv += ["--epsilon", epsilon]
+    if command == "factor" and budget is not None:
+        argv += ["--budget", budget]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        capsys.readouterr()
+        return
+    payload = json.loads(capsys.readouterr().out)
+    if code == 1:
+        assert sorted(payload) == ["detail", "error"], argv
+    else:
+        assert code == 0 and payload["command"] == command, argv

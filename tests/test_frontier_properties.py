@@ -6,9 +6,12 @@ The welfare solve is the ``n_lb = 0`` layer of the lower-bound DP, so
 ``max_total_improvement`` and ``max_total_with_min_improvers`` are checked
 together, on int64 and on exact object tables.  Every solver is also checked
 against the brute-force oracle on both engines, and the sweep and the fair
-pipeline against the bounds the paper states for them.
+pipeline against the bounds the paper states for them.  The skyline prune
+and the back-pointer recursion are checked against the pairwise prune and
+the chain-carrying recursion they replaced (``tests/helpers.py``).
 """
 
+import random
 from fractions import Fraction as F
 
 from hypothesis import given, settings
@@ -31,6 +34,8 @@ from goalpost import (
     optimal_target_count_sweep,
     pareto_frontier,
 )
+from goalpost.pareto import frontier_dp, prune_dominated
+from helpers import chain_frontier_dp, pairwise_prune, random_integral_instance
 
 ENGINES = st.sampled_from(["numpy", "python"])
 
@@ -249,3 +254,67 @@ def test_fair_approx_keeps_each_group_a_share_of_its_split_budget_optimum(inst, 
         solo = brute_force_optimum(inst.isolate_group(gi), split).value
         assert 16 * g * g * welfare[gi] >= solo
     assert trace.alpha_ceil >= F(1, 16 * g * g)
+
+
+@st.composite
+def keyed_candidates(draw):
+    """Tuples of one length 1..5 with payloads.  Few distinct coordinates make
+    ties and repeated draws collapse to one key; a draw may also make one
+    coordinate equal across all keys, or every coordinate of every key."""
+    g = draw(st.integers(1, 5))
+    # Four values per coordinate, spread out as far as 2^70 either side.
+    spread = draw(st.sampled_from([1, -1, 2**70, -(2**70)]))
+    coordinate = st.integers(0, 3).map(lambda v: v * spread)
+    keys = draw(st.lists(st.tuples(*[coordinate] * g), max_size=40))
+    equal = draw(st.sampled_from(["none", "one", "all"]))
+    if keys and equal == "one":
+        c = draw(st.integers(0, g - 1))
+        keys = [key[:c] + (keys[0][c],) + key[c + 1:] for key in keys]
+    elif keys and equal == "all":
+        keys = [(keys[0][0],) * g for _ in keys]
+    return {key: index for index, key in enumerate(keys)}
+
+
+@given(keyed_candidates())
+@settings(max_examples=300, deadline=None)
+def test_skyline_prune_matches_the_pairwise_prune(candidates):
+    assert prune_dominated(candidates) == pairwise_prune(candidates)
+
+
+def test_skyline_prune_matches_the_pairwise_prune_on_seeded_sets():
+    # Dense sets over few values, where staircase steps get replaced often.
+    rng = random.Random(7)
+    for _ in range(4000):
+        g = rng.randint(1, 5)
+        values = rng.randint(2, 6)
+        candidates = {
+            tuple(rng.randrange(values) for _ in range(g)): index
+            for index in range(rng.randint(0, 50))
+        }
+        assert prune_dominated(candidates) == pairwise_prune(candidates)
+
+
+def test_prune_of_nothing_is_empty():
+    assert prune_dominated({}) == pairwise_prune({}) == []
+
+
+def test_back_pointer_frontier_dp_matches_the_chain_recursion():
+    """Same root (keys, order and chains) and peak on exact and on coarsely
+    quantized credits, where many candidates tie."""
+    rng = random.Random(20221018)
+    for _ in range(1000):
+        inst = random_integral_instance(
+            rng, max_agents=10, max_groups=5, max_position=14, max_capacity=5
+        )
+        table = ContributionTable(inst)
+        k = rng.randint(1, 4)
+        unit = rng.randint(1, 4)
+
+        def coarse(i, j):
+            return tuple(d // unit for d in table.group_credit_scaled(i, j))
+
+        for gain in (table.group_credit_scaled, coarse):
+            root, peak = frontier_dp(table, k, gain)
+            expected, expected_peak = chain_frontier_dp(table, k, gain)
+            assert list(root.items()) == list(expected.items())
+            assert peak == expected_peak

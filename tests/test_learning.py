@@ -182,6 +182,38 @@ def test_a_group_without_draws_fails_the_trial(monkeypatch):
     assert report.success_fraction == 0
 
 
+def test_chunked_draws_tally_like_one_draw(monkeypatch):
+    # Chunks of 7 split every sample below; the generator's stream, and so
+    # every tally, must not depend on the split.
+    monkeypatch.setattr(learning, "DRAW_CHUNK", 7)
+    rng = np.random.default_rng(2022)
+    for denom in [2, 3, 97, 2**31 - 1, 2**32, 2**32 + 1, 2**53 + 5, 2**62 - 1] * 4:
+        cuts = sorted({int(c) for c in rng.integers(1, denom, size=3)})
+        thresholds = cuts + [denom]
+        n = int(rng.integers(0, 60))
+        seed = int(rng.integers(0, 2**32))
+        got = learning._tally_draws(np.random.default_rng(seed), n, denom, thresholds)
+        draws = np.random.default_rng(seed).integers(0, denom, size=n)
+        want = np.bincount(
+            np.searchsorted(thresholds, draws, side="right"), minlength=len(thresholds)
+        )
+        assert got.tolist() == want.tolist(), (denom, n)
+
+
+def test_chunked_experiment_reports_like_one_chunk(monkeypatch):
+    single = PositionDistribution(((F(0), F(1, 3)), (F(1), F(2, 3))), F(2))
+    reports = [
+        deviation_experiment(dist, 1, F(1, 2), F(1, 10), 4, 7)
+        for dist in (single, MIXTURE)
+    ]
+    monkeypatch.setattr(learning, "DRAW_CHUNK", 5)
+    assert [
+        deviation_experiment(dist, 1, F(1, 2), F(1, 10), 4, 7)
+        for dist in (single, MIXTURE)
+    ] == reports
+    assert all(report.n > 5 for report in reports)
+
+
 def test_report_serialization_shape():
     report = deviation_experiment(POINT_MASS, 1, F(1, 2), F(1, 2), 5, 3)
     payload = report.to_jsonable()

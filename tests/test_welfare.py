@@ -13,6 +13,7 @@ from goalpost import (
     max_total_with_min_improvers,
     optimal_target_count_sweep,
     pareto_frontier,
+    welfare,
 )
 from helpers import random_integral_instance
 
@@ -239,6 +240,26 @@ def test_a_budget_past_the_longest_chain_uses_every_level():
             ((F(2), F(2)), every_level)
         ]
     assert max_total_improvement(inst, 3).value == 3
+
+
+def test_sweep_runs_no_layer_past_the_longest_chain(monkeypatch):
+    # Every sweep entry past m - 1 repeats entry m - 1 with its own k, and
+    # only the first m - 1 budget layers are computed.
+    inst = Instance.common([0, 1, 2, 3], 1, groups=[0, 1, 0, 1])
+    layers = []
+    dp_rows = welfare._dp_rows
+    monkeypatch.setattr(
+        welfare, "_dp_rows", lambda table, k: layers.append(k) or dp_rows(table, k)
+    )
+    curve = optimal_target_count_sweep(inst, 10**5)
+    assert layers == [4]
+    assert len(curve.entries) == 10**5 + 1
+    assert [e.value for e in curve.entries[:6]] == [0, 1, 2, 3, 4, 4]
+    assert all(
+        (e.k, e.value, e.targets) == (k, 4, TargetSet((1, 2, 3, 4)))
+        for k, e in enumerate(curve.entries[4:], 4)
+    )
+    assert curve.min_k_for_max == 4
 
 
 def test_negative_budget_rejected():
