@@ -15,6 +15,7 @@ from .fairness import (
     best_simultaneous_on_frontier,
     distant_targets,
     group_optima,
+    group_optima_by_budget,
     local_reopt,
     prune_every_other,
     resolve_interference,
@@ -98,6 +99,7 @@ __all__ = [
     "fptas_max_min",
     "group_capacities",
     "group_optima",
+    "group_optima_by_budget",
     "improvement_at",
     "improvement_report",
     "iter_candidate_sets",

@@ -21,6 +21,12 @@ instance (capacity ``D``, ``g`` groups, budget ``k >= g``):
 The result uses at most ``k`` levels and every group retains at least
 ``1/(16 g^2)`` of its solo optimum at budget ceil(k/g), hence ``1/(16 g^3)``
 of its solo optimum at budget ``k``.
+
+Each group is solved alone once, for both budgets: one credit table and one
+DP run whose budget layers hold every smaller budget
+(:func:`group_optima_by_budget`).  Every re-application of the behavior
+rule (scoring the residue classes, the step-3 survivors and windows, the
+final report) runs on exact integers.
 """
 
 from __future__ import annotations
@@ -42,13 +48,13 @@ from .model import (
     ImprovementReport,
     Instance,
     TargetSet,
-    eligible_target,
-    group_welfare,
+    _apply_rule,
     improvement_report,
     validate_instance,
 )
 from .pareto import FrontierPoint, pareto_frontier
-from .welfare import DpSolution, max_total_improvement
+from .tables import ContributionTable
+from .welfare import DpSolution, _solve_budgets, max_total_improvement
 
 
 @dataclass(frozen=True)
@@ -60,11 +66,30 @@ class GroupOptima:
 
 
 def group_optima(instance: Instance, budget: int) -> GroupOptima:
-    solos = tuple(
-        max_total_improvement(instance.isolate_group(g), budget)
+    """Each group's solo optimum at ``budget``."""
+    return group_optima_by_budget(instance, (budget,))[budget]
+
+
+def group_optima_by_budget(
+    instance: Instance, budgets: Sequence[int]
+) -> dict[int, GroupOptima]:
+    """Each group's solo optima at every one of ``budgets``, by budget.
+
+    A group is solved once: one credit table and one DP run up to the
+    largest budget, whose layers hold every smaller budget.  Each optimum
+    equals ``max_total_improvement(instance.isolate_group(g), budget)``.
+    """
+    if any(b < 0 for b in budgets):
+        raise ValueError("k must be non-negative")
+    solved = [
+        _solve_budgets(ContributionTable(validate_instance(instance.isolate_group(g))),
+                       budgets)
         for g in range(instance.num_groups)
-    )
-    return GroupOptima(budget, solos)
+    ]
+    return {
+        budget: GroupOptima(budget, tuple(solutions[at] for solutions in solved))
+        for at, budget in enumerate(budgets)
+    }
 
 
 def prune_every_other(targets: TargetSet, delta: Fraction) -> TargetSet:
@@ -103,15 +128,10 @@ def distant_targets(
             )
     if len(levels) <= 1:
         return targets
-    parts = [TargetSet(levels[r::4]) for r in range(4)]
-    best = parts[0]
-    best_value = group_welfare(group_agents, best)
-    for part in parts[1:]:
-        value = group_welfare(group_agents, part)
-        if value > best_value:
-            best = part
-            best_value = value
-    return best
+    parts = [levels[r::4] for r in range(4)]
+    totals = [rule.total for rule in _apply_rule(group_agents, *parts)]
+    # max keeps the first of equal totals: ties go to the lowest class.
+    return TargetSet(parts[max(range(4), key=totals.__getitem__)])
 
 
 def local_reopt(
@@ -238,7 +258,8 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     delta = instance.common_capacity
     split_budget = -(-k // g)
 
-    split_optima = group_optima(instance, split_budget)
+    optima = group_optima_by_budget(instance, (split_budget, k))
+    split_optima = optima[split_budget]
     step1 = [solo.targets for solo in split_optima.per_group]
     spaced, sparse, localized, survivors = [], [], [], []
     for solo, agents in zip(step1, members):
@@ -250,15 +271,19 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
             sparse_set = solo
         spaced.append(spread)
         sparse.append(sparse_set)
-        alive = tuple(
-            a for a in agents if eligible_target(a, sparse_set) is not None
-        )
-        survivors.append(alive)
-        relocated = []
-        for level in sparse_set.levels:
-            window = [a for a in alive if level - delta <= a.position < level]
-            relocated.append(local_reopt(level, window, delta))
-        localized.append(TargetSet(tuple(relocated)))
+        (rule,) = _apply_rule(agents, sparse_set.levels)
+        chosen = rule.chosen.tolist()
+        survivors.append(tuple(a for a, j in zip(agents, chosen) if j >= 0))
+        # Kept levels are at least 2·delta apart, so the served agents in the
+        # window [t - delta, t) are exactly the agents that t serves.
+        windows: list[list[Agent]] = [[] for _ in sparse_set.levels]
+        for agent, j in zip(agents, chosen):
+            if j >= 0:
+                windows[j].append(agent)
+        localized.append(TargetSet(tuple(
+            local_reopt(level, window, delta)
+            for level, window in zip(sparse_set.levels, windows)
+        )))
 
     union = TargetSet(tuple(v for ts in localized for v in ts.levels))
     if union:
@@ -270,7 +295,7 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     assert len(final) <= k
 
     report = improvement_report(instance, final)
-    alpha_k = _worst_ratio(report.group_totals, group_optima(instance, k))
+    alpha_k = _worst_ratio(report.group_totals, optima[k])
     alpha_ceil = _worst_ratio(report.group_totals, split_optima)
     return ApproxTrace(
         instance,

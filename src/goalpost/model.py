@@ -13,14 +13,23 @@ The candidate levels, every position and reach, are formed in one place:
 denominator.  :func:`potential_targets` is the grid's rational view, and
 :func:`batch_group_totals` applies the behavior rule to many target sets at
 once on the grid's exact integers.
+
+:func:`improvement_report` and :func:`group_welfare` also apply the rule on
+exact integers: the agents and the target levels are scaled by one common
+denominator, one ``searchsorted`` serves every agent, and rationals are
+formed only for the returned fields.  :func:`eligible_target` and
+:func:`improvement_at` apply it to one agent on rationals; they are the
+scalar reference the batch paths are tested against.
 """
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -31,27 +40,51 @@ from .errors import (
     GroupIndexOutOfRange,
     NegativeCapacity,
     NegativePosition,
+    ParameterOutOfRange,
 )
 
 RationalLike = Union[Fraction, int, str]
 
 
+# Python's default limit on the digits of an int read from or written as
+# text; a decimal exponent past it expands to a power of ten past it.
+_MAX_EXPONENT = 4300
+_EXPONENT = re.compile(r"e[-+]?(\d+(?:_\d+)*)\s*\Z", re.IGNORECASE)
+
+
 def rational(value: RationalLike) -> Fraction:
-    """Coerce ints, "a/b" strings, and Fractions to an exact Fraction."""
+    """Coerce ints, "a/b" strings, and Fractions to an exact Fraction.
+
+    Decimal strings are accepted ("1.5", "1e-3"), but not one whose
+    exponent exceeds 4300 in magnitude: ``Fraction`` would expand it to a
+    power of ten, in time that grows with the exponent."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
+    if isinstance(value, str) and ("e" in value or "E" in value):
+        exponent = _EXPONENT.search(value)
+        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in {value[:40]!r}")
     if isinstance(value, (int, str)):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 
 
 def rational_str(value: Fraction) -> str:
-    """Canonical text form: bare integer or "num/den" in lowest terms."""
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
+    """Canonical text form: bare integer or "num/den" in lowest terms.
+
+    Raises ParameterOutOfRange when the numerator or denominator has more
+    digits than Python converts to text."""
+    try:
+        if value.denominator == 1:
+            return str(value.numerator)
+        return f"{value.numerator}/{value.denominator}"
+    except ValueError:
+        raise ParameterOutOfRange(
+            "a result has more digits than Python's integer-to-text limit"
+        ) from None
 
 
 class CapacityModel(Enum):
@@ -246,31 +279,96 @@ class ImprovementReport:
 
 
 def improvement_report(instance: Instance, targets: TargetSet) -> ImprovementReport:
-    """Apply the behavior rule to every agent and aggregate welfare."""
+    """Apply the behavior rule to every agent and aggregate welfare.
+
+    The rule runs on exact integers (see :func:`_apply_rule`); rationals
+    are formed only for the returned fields."""
+    levels = targets.levels
+    (rule,) = _apply_rule(instance.agents, levels)
+    zero = Fraction(0)
     outcomes = []
-    group_totals = [Fraction(0)] * instance.num_groups
+    group_totals = [0] * instance.num_groups
     group_sizes = [0] * instance.num_groups
-    total = Fraction(0)
-    for agent in instance.agents:
-        chosen = eligible_target(agent, targets)
-        gain = chosen - agent.position if chosen is not None else Fraction(0)
-        outcomes.append(AgentOutcome(chosen, gain))
-        group_totals[agent.group] += gain
+    for agent, j, gain in zip(instance.agents, rule.chosen.tolist(), rule.gains.tolist()):
+        if j < 0:
+            outcomes.append(AgentOutcome(None, zero))
+        else:
+            outcomes.append(AgentOutcome(levels[j], Fraction(gain, rule.scale)))
+            group_totals[agent.group] += gain
         group_sizes[agent.group] += 1
-        total += gain
     averages = tuple(
-        tot / size if size else Fraction(0)
+        Fraction(tot, rule.scale * size) if size else zero
         for tot, size in zip(group_totals, group_sizes)
     )
-    return ImprovementReport(tuple(outcomes), tuple(group_totals), averages, total)
+    return ImprovementReport(
+        tuple(outcomes),
+        tuple(Fraction(tot, rule.scale) for tot in group_totals),
+        averages,
+        Fraction(sum(group_totals), rule.scale),
+    )
 
 
 def group_welfare(agents: Sequence[Agent], targets: TargetSet) -> Fraction:
     """Total improvement of an ad-hoc agent collection (no instance needed)."""
-    return sum(
-        (improvement_at(a.position, a.capacity, targets) for a in agents),
-        Fraction(0),
-    )
+    (rule,) = _apply_rule(agents, targets.levels)
+    return Fraction(rule.total, rule.scale)
+
+
+class _RuleOutcome(NamedTuple):
+    """The behavior rule's outcome for a list of agents, in whole units of
+    ``1/scale``.
+
+    ``chosen[a]`` indexes the level agent ``a`` moves to, or is -1 when it
+    stays put; ``gains[a]`` is its scaled improvement (int64, or exact
+    ``object`` integers when values are too large for int64)."""
+
+    scale: int
+    chosen: np.ndarray
+    gains: np.ndarray
+
+    @property
+    def total(self) -> int:
+        return int(self.gains.sum())
+
+
+def _apply_rule(
+    agents: Sequence[Agent], *level_sets: Sequence[Fraction]
+) -> tuple[_RuleOutcome, ...]:
+    """The behavior rule for every agent at once, on exact integers, under
+    each of ``level_sets`` (each strictly increasing).
+
+    The agents and every level are scaled by one common denominator: the
+    grid's, extended by the levels' own, because a level may lie off the
+    grid.  One ``searchsorted`` per set finds every agent's first level
+    strictly above its position, which the agent takes if it is within
+    reach.  The arithmetic is int64 when every scaled value and the sum of
+    all capacities stay below ``INT64_SAFE``, exact ``object`` integers
+    otherwise.
+    """
+    held = [a.position for a in agents]
+    caps = [a.capacity for a in agents]
+    scale = lcm(*(v.denominator for v in held), *(v.denominator for v in caps),
+                *(v.denominator for levels in level_sets for v in levels))
+    positions = [v.numerator * (scale // v.denominator) for v in held]
+    capacities = [v.numerator * (scale // v.denominator) for v in caps]
+    reaches = [p + c for p, c in zip(positions, capacities)]
+    scaled = [[v.numerator * (scale // v.denominator) for v in levels]
+              for levels in level_sets]
+    largest = max(map(abs, chain(positions, reaches, *scaled)), default=0)
+    fits = max(largest, sum(c for c in capacities if c > 0)) < INT64_SAFE
+    dtype = np.int64 if fits else object
+    pos = np.asarray(positions, dtype=dtype)
+    reach = np.asarray(reaches, dtype=dtype)
+    outcomes = []
+    for levels in scaled:
+        # A padding entry keeps the lookup in bounds; ``above < len`` masks it.
+        lev = np.asarray((*levels, 0), dtype=dtype)
+        above = np.searchsorted(lev[:-1], pos, side="right")
+        hit = (above < len(levels)) & (lev[above] <= reach)
+        outcomes.append(_RuleOutcome(
+            scale, np.where(hit, above, -1), np.where(hit, lev[above] - pos, 0)
+        ))
+    return tuple(outcomes)
 
 
 # Keep headroom: a DP candidate adds two table entries plus a running value.

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -130,6 +130,24 @@ def _reconstruct(
     return table.served_targets(chain)
 
 
+def _solve_budgets(table: ContributionTable, budgets: Sequence[int]) -> list[DpSolution]:
+    """The welfare optimum at each of ``budgets`` from one DP run.
+
+    The run stops at the largest budget asked for, or at m - 1 layers: no
+    chain holds more targets, so every later layer repeats.  Only the
+    budgets asked for are reconstructed."""
+    if table.grid_size <= 1:  # nobody can improve
+        return [DpSolution(Fraction(0), EMPTY_TARGETS) for _ in budgets]
+    top = min(max(budgets, default=0), table.grid_size - 1)
+    values, choices = _dp_rows(table, top)
+    return [
+        DpSolution(
+            table.to_fraction(int(values[b][0, 0])), _reconstruct(table, choices, b)
+        )
+        for b in (min(k, top) for k in budgets)
+    ]
+
+
 def _solve(table: ContributionTable, k: int, n_lb: int) -> Optional[DpSolution]:
     if k == 0 or table.grid_size <= 1:
         # Nobody can improve: only an empty lower bound is met.
@@ -174,20 +192,11 @@ def optimal_target_count_sweep(
         raise ValueError("k_max must be non-negative")
     validate_instance(instance)
     table = ContributionTable(instance, engine=engine)
-    if table.grid_size <= 1:
-        entries = [BudgetPoint(0, Fraction(0), EMPTY_TARGETS)]
-    else:
-        # No chain holds more than m - 1 targets: every later budget repeats.
-        budget = min(k_max, table.grid_size - 1)
-        values, choices = _dp_rows(table, budget)
-        entries = [
-            BudgetPoint(
-                k,
-                table.to_fraction(int(values[k][0, 0])),
-                _reconstruct(table, choices, k),
-            )
-            for k in range(budget + 1)
-        ]
+    budget = min(k_max, max(table.grid_size - 1, 0))
+    entries = [
+        BudgetPoint(k, solution.value, solution.targets)
+        for k, solution in enumerate(_solve_budgets(table, range(budget + 1)))
+    ]
     last = entries[-1]
     entries += [
         BudgetPoint(k, last.value, last.targets) for k in range(len(entries), k_max + 1)
