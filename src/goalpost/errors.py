@@ -2,9 +2,16 @@
 
 Every error carries a stable ``code`` (the class name) that the CLI emits in
 its JSON error envelope, so scripts can match on it without parsing prose.
+Building a detail must not raise: a caller's rational is written through
+:func:`rational_detail`, and :func:`check_memory` words every refusal of an
+allocation past physical memory.
 """
 
 from __future__ import annotations
+
+import os
+from fractions import Fraction
+from typing import Optional
 
 
 class GoalpostError(Exception):
@@ -76,3 +83,31 @@ class InstanceParseError(GoalpostError):
 
     The message always names the offending JSON path (e.g. ``agents[2].position``).
     """
+
+
+def rational_detail(value: Fraction) -> str:
+    """A rational as ``str`` writes it, or, past Python's integer-to-text
+    digit limit, a description of its size."""
+    try:
+        return str(value)
+    except ValueError:
+        return (f"{'-' if value < 0 else ''}(a {value.numerator.bit_length()}-bit "
+                f"numerator over a {value.denominator.bit_length()}-bit denominator)")
+
+
+def _physical_memory() -> Optional[int]:
+    """Bytes of physical memory, or None where the system cannot say."""
+    try:
+        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    except (AttributeError, ValueError, OSError):
+        return None
+    return total if total > 0 else None
+
+
+def check_memory(need: int, what: str, have: Optional[int]) -> None:
+    """Refuse ``what`` if its ``need`` bytes exceed ``have``, the physical
+    memory (None: unknown, so no check)."""
+    if have is not None and need > have:
+        raise SearchSpaceTooLarge(
+            f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
+        )

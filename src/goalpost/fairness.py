@@ -40,6 +40,7 @@ from .errors import (
     EmptyGroup,
     IndividualizedCapacityUnsupported,
     SpacingPreconditionViolated,
+    rational_detail,
 )
 from .model import (
     Agent,
@@ -124,7 +125,9 @@ def distant_targets(
     for i in range(len(levels) - 2):
         if levels[i + 2] - levels[i] < delta:
             raise SpacingPreconditionViolated(
-                f"levels {levels[i]}, {levels[i + 2]} are closer than {delta}"
+                f"levels {rational_detail(levels[i])}, "
+                f"{rational_detail(levels[i + 2])} are closer than "
+                f"{rational_detail(delta)}"
             )
     if len(levels) <= 1:
         return targets

@@ -25,7 +25,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .errors import EpsilonOutOfRange, GroupCapacityNonUniform
+from .errors import (
+    EpsilonOutOfRange,
+    GroupCapacityNonUniform,
+    _physical_memory,
+    check_memory,
+    rational_detail,
+)
 from .model import (
     Instance,
     RationalLike,
@@ -52,9 +58,12 @@ class FptasParams:
     ) -> "FptasParams":
         eps = rational(epsilon)
         if not 0 < eps < 1:
-            raise EpsilonOutOfRange(f"epsilon must be in (0, 1), got {eps}")
-        caps = group_capacities(instance)
+            raise EpsilonOutOfRange(
+                f"epsilon must be in (0, 1), got {rational_detail(eps)}")
         g = instance.num_groups
+        # Two g-long tuples, 8 bytes a slot: refuse a count they cannot fit.
+        check_memory(16 * g, "the per-group step table", _physical_memory())
+        caps = group_capacities(instance)
         steps = tuple(eps * cap / (16 * k * g**3) for cap in caps)
         return cls(eps, steps)
 
@@ -71,7 +80,8 @@ def group_capacities(instance: Instance) -> tuple[Fraction, ...]:
             caps[agent.group] = agent.capacity
         elif seen != agent.capacity:
             raise GroupCapacityNonUniform(
-                f"group {agent.group} mixes capacities {seen} and {agent.capacity}"
+                f"group {agent.group} mixes capacities {rational_detail(seen)} and "
+                f"{rational_detail(agent.capacity)}"
             )
     return tuple(c if c is not None else Fraction(0) for c in caps)
 

@@ -38,7 +38,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 
 import numpy as np
 
-from .errors import EmptySample, ParameterOutOfRange
+from .errors import EmptySample, ParameterOutOfRange, rational_detail
 from .model import (
     INT64_SAFE,
     Agent,
@@ -126,12 +126,14 @@ def _support_grid(dists: Iterable[PositionDistribution]) -> tuple[Fraction, ...]
 
 def _check_unit_open(name: str, value: Fraction) -> None:
     if not 0 < value < 1:
-        raise ParameterOutOfRange(f"{name} must lie in (0, 1), got {value}")
+        raise ParameterOutOfRange(
+            f"{name} must lie in (0, 1), got {rational_detail(value)}")
 
 
 def _check_positive(name: str, value: Fraction) -> None:
     if value <= 0:
-        raise ParameterOutOfRange(f"{name} must be positive, got {value}")
+        raise ParameterOutOfRange(
+            f"{name} must be positive, got {rational_detail(value)}")
 
 
 def _sample_count(bound: Callable[[], float]) -> int:
@@ -181,7 +183,8 @@ def required_samples_groups(
     if g < 1:
         raise ParameterOutOfRange(f"g must be at least 1, got {g}")
     if not 0 < amin <= 1:
-        raise ParameterOutOfRange(f"alpha_min must lie in (0, 1], got {amin}")
+        raise ParameterOutOfRange(
+            f"alpha_min must lie in (0, 1], got {rational_detail(amin)}")
     if dmax < 0:
         raise ParameterOutOfRange("delta_max must be non-negative")
 

@@ -10,16 +10,16 @@ put if no such level exists.
 
 The candidate levels, every position and reach, are formed in one place:
 :func:`integer_grid` scales the instance once by its least common
-denominator.  :func:`potential_targets` is the grid's rational view, and
-:func:`batch_group_totals` applies the behavior rule to many target sets at
-once on the grid's exact integers.
+denominator, and :func:`potential_targets` is the grid's rational view.
 
-:func:`improvement_report` and :func:`group_welfare` also apply the rule on
-exact integers: the agents and the target levels are scaled by one common
-denominator, one ``searchsorted`` serves every agent, and rationals are
-formed only for the returned fields.  :func:`eligible_target` and
-:func:`improvement_at` apply it to one agent on rationals; they are the
-scalar reference the batch paths are tested against.
+One integer kernel, :func:`_rule_kernel`, applies the rule in bulk: one
+``searchsorted`` finds every agent's target under every row of level
+indices, in int64 when :attr:`IntegerGrid.fits_int64` holds and in exact
+``object`` integers otherwise.  :func:`batch_group_totals` sums its gains by
+group over subsets of the grid; :func:`improvement_report` and
+:func:`group_welfare` reach it through :func:`_apply_rule`, which scales the
+agents and any target levels by one common denominator.  The scalar
+reference it is tested against is :func:`improvement_at`.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from itertools import chain
 from math import lcm
+from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 import numpy as np
@@ -41,6 +42,9 @@ from .errors import (
     NegativeCapacity,
     NegativePosition,
     ParameterOutOfRange,
+    _physical_memory,
+    check_memory,
+    rational_detail,
 )
 
 RationalLike = Union[Fraction, int, str]
@@ -78,9 +82,7 @@ def rational_str(value: Fraction) -> str:
     Raises ParameterOutOfRange when the numerator or denominator has more
     digits than Python converts to text."""
     try:
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
+        return str(value)  # Fraction writes exactly this form
     except ValueError:
         raise ParameterOutOfRange(
             "a result has more digits than Python's integer-to-text limit"
@@ -148,10 +150,6 @@ class Instance:
         return len(self.agents)
 
     @property
-    def delta_max(self) -> Fraction:
-        return max((a.capacity for a in self.agents), default=Fraction(0))
-
-    @property
     def common_capacity(self) -> Fraction:
         """Shared capacity under the common model (0 for an empty instance)."""
         if self.capacity_model is not CapacityModel.COMMON:
@@ -186,9 +184,11 @@ def validate_instance(instance: Instance) -> Instance:
         raise GroupIndexOutOfRange("num_groups must be at least 1")
     for idx, agent in enumerate(instance.agents):
         if agent.position < 0:
-            raise NegativePosition(f"agent {idx} has position {agent.position}")
+            raise NegativePosition(
+                f"agent {idx} has position {rational_detail(agent.position)}")
         if agent.capacity < 0:
-            raise NegativeCapacity(f"agent {idx} has capacity {agent.capacity}")
+            raise NegativeCapacity(
+                f"agent {idx} has capacity {rational_detail(agent.capacity)}")
         if not 0 <= agent.group < instance.num_groups:
             raise GroupIndexOutOfRange(
                 f"agent {idx} has group {agent.group}, expected [0, {instance.num_groups})"
@@ -198,7 +198,8 @@ def validate_instance(instance: Instance) -> Instance:
         for idx, agent in enumerate(instance.agents):
             if agent.capacity != shared:
                 raise CommonCapacityViolated(
-                    f"agent {idx} has capacity {agent.capacity}, expected {shared}"
+                    f"agent {idx} has capacity {rational_detail(agent.capacity)}, "
+                    f"expected {rational_detail(shared)}"
                 )
     return instance
 
@@ -279,32 +280,24 @@ class ImprovementReport:
 
 
 def improvement_report(instance: Instance, targets: TargetSet) -> ImprovementReport:
-    """Apply the behavior rule to every agent and aggregate welfare.
-
-    The rule runs on exact integers (see :func:`_apply_rule`); rationals
-    are formed only for the returned fields."""
+    """Apply the behavior rule to every agent and aggregate welfare, on
+    exact integers (:func:`_apply_rule`) until the returned fields."""
     levels = targets.levels
     (rule,) = _apply_rule(instance.agents, levels)
-    zero = Fraction(0)
+    scale, zero = rule.scale, Fraction(0)
     outcomes = []
-    group_totals = [0] * instance.num_groups
-    group_sizes = [0] * instance.num_groups
+    totals = [0] * instance.num_groups
+    sizes = [0] * instance.num_groups
     for agent, j, gain in zip(instance.agents, rule.chosen.tolist(), rule.gains.tolist()):
-        if j < 0:
-            outcomes.append(AgentOutcome(None, zero))
-        else:
-            outcomes.append(AgentOutcome(levels[j], Fraction(gain, rule.scale)))
-            group_totals[agent.group] += gain
-        group_sizes[agent.group] += 1
-    averages = tuple(
-        Fraction(tot, rule.scale * size) if size else zero
-        for tot, size in zip(group_totals, group_sizes)
-    )
+        outcomes.append(AgentOutcome(levels[j], Fraction(gain, scale)) if j >= 0
+                        else AgentOutcome(None, zero))
+        totals[agent.group] += gain
+        sizes[agent.group] += 1
     return ImprovementReport(
         tuple(outcomes),
-        tuple(Fraction(tot, rule.scale) for tot in group_totals),
-        averages,
-        Fraction(sum(group_totals), rule.scale),
+        tuple(Fraction(tot, scale) for tot in totals),
+        tuple(Fraction(tot, scale * n) if n else zero for tot, n in zip(totals, sizes)),
+        Fraction(sum(totals), scale),
     )
 
 
@@ -315,12 +308,9 @@ def group_welfare(agents: Sequence[Agent], targets: TargetSet) -> Fraction:
 
 
 class _RuleOutcome(NamedTuple):
-    """The behavior rule's outcome for a list of agents, in whole units of
-    ``1/scale``.
-
+    """The rule's outcome for a list of agents, in whole units of ``1/scale``:
     ``chosen[a]`` indexes the level agent ``a`` moves to, or is -1 when it
-    stays put; ``gains[a]`` is its scaled improvement (int64, or exact
-    ``object`` integers when values are too large for int64)."""
+    stays put, and ``gains[a]`` is its scaled improvement."""
 
     scale: int
     chosen: np.ndarray
@@ -334,41 +324,27 @@ class _RuleOutcome(NamedTuple):
 def _apply_rule(
     agents: Sequence[Agent], *level_sets: Sequence[Fraction]
 ) -> tuple[_RuleOutcome, ...]:
-    """The behavior rule for every agent at once, on exact integers, under
-    each of ``level_sets`` (each strictly increasing).
+    """The behavior rule for every agent under each of ``level_sets`` (each
+    strictly increasing), as the rows of one :func:`_rule_kernel` call.
 
-    The agents and every level are scaled by one common denominator: the
-    grid's, extended by the levels' own, because a level may lie off the
-    grid.  One ``searchsorted`` per set finds every agent's first level
-    strictly above its position, which the agent takes if it is within
-    reach.  The arithmetic is int64 when every scaled value and the sum of
-    all capacities stay below ``INT64_SAFE``, exact ``object`` integers
-    otherwise.
+    The agents and levels are scaled by one common denominator, the agents'
+    extended by the levels' own, because a level may lie off the grid.  Each
+    row indexes the sorted union of the sets, padded with the union's size.
     """
     held = [a.position for a in agents]
     caps = [a.capacity for a in agents]
-    scale = lcm(*(v.denominator for v in held), *(v.denominator for v in caps),
-                *(v.denominator for levels in level_sets for v in levels))
-    positions = [v.numerator * (scale // v.denominator) for v in held]
-    capacities = [v.numerator * (scale // v.denominator) for v in caps]
-    reaches = [p + c for p, c in zip(positions, capacities)]
-    scaled = [[v.numerator * (scale // v.denominator) for v in levels]
-              for levels in level_sets]
-    largest = max(map(abs, chain(positions, reaches, *scaled)), default=0)
-    fits = max(largest, sum(c for c in capacities if c > 0)) < INT64_SAFE
-    dtype = np.int64 if fits else object
-    pos = np.asarray(positions, dtype=dtype)
-    reach = np.asarray(reaches, dtype=dtype)
-    outcomes = []
-    for levels in scaled:
-        # A padding entry keeps the lookup in bounds; ``above < len`` masks it.
-        lev = np.asarray((*levels, 0), dtype=dtype)
-        above = np.searchsorted(lev[:-1], pos, side="right")
-        hit = (above < len(levels)) & (lev[above] <= reach)
-        outcomes.append(_RuleOutcome(
-            scale, np.where(hit, above, -1), np.where(hit, lev[above] - pos, 0)
-        ))
-    return tuple(outcomes)
+    scale = lcm(*(v.denominator for v in chain(held, caps, *level_sets)))
+    scaled = [_in_units(levels, scale) for levels in level_sets]
+    union = sorted(set().union(*scaled))
+    index = {v: i for i, v in enumerate(union)}
+    width = max(map(len, scaled))
+    sets = np.array([[index[v] for v in row] + [len(union)] * (width - len(row))
+                     for row in scaled], dtype=np.intp)
+    grid = IntegerGrid(scale, _in_units(held, scale), _in_units(caps, scale),
+                       tuple(union))
+    place, gains = _rule_kernel(grid, sets)
+    chosen = np.where(gains > 0, place, -1)
+    return tuple(_RuleOutcome(scale, *row) for row in zip(chosen, gains))
 
 
 # Keep headroom: a DP candidate adds two table entries plus a running value.
@@ -376,7 +352,8 @@ INT64_SAFE = 1 << 60
 
 
 class IntegerGrid(NamedTuple):
-    """An instance in whole units of ``1/scale``: exact Python ints."""
+    """An instance in whole units of ``1/scale``: exact Python ints, with
+    ``levels`` sorted."""
 
     scale: int
     positions: tuple[int, ...]
@@ -385,22 +362,29 @@ class IntegerGrid(NamedTuple):
 
     @property
     def fits_int64(self) -> bool:
-        """True when every level and the sum of all capacities (a bound on
-        any welfare total) stay below ``INT64_SAFE``."""
-        return max(sum(self.capacities), max(self.levels, default=0)) < INT64_SAFE
+        """True when every level, position and reach, and the sum of the
+        positive capacities (a bound on any welfare total), stay below
+        ``INT64_SAFE`` in magnitude; a level off the grid may be negative."""
+        levels = self.levels  # sorted: its ends bound it
+        values = chain(levels[:1], levels[-1:], self.positions,
+                       map(add, self.positions, self.capacities))
+        return max(max(map(abs, values), default=0),
+                   sum(c for c in self.capacities if c > 0)) < INT64_SAFE
+
+
+def _in_units(values: Iterable[Fraction], scale: int) -> tuple[int, ...]:
+    """Each value times ``scale``, a multiple of its denominator."""
+    return tuple(v.numerator * (scale // v.denominator) for v in values)
 
 
 def integer_grid(instance: Instance) -> IntegerGrid:
     """Scale every position and capacity by their least common denominator;
     ``levels`` is every scaled position and reach, sorted and deduplicated."""
-    agents = instance.agents
-    scale = lcm(*(a.position.denominator for a in agents),
-                *(a.capacity.denominator for a in agents))
-    positions = tuple(a.position.numerator * (scale // a.position.denominator)
-                      for a in agents)
-    capacities = tuple(a.capacity.numerator * (scale // a.capacity.denominator)
-                       for a in agents)
-    levels = {*positions, *(p + c for p, c in zip(positions, capacities))}
+    held = [a.position for a in instance.agents]
+    caps = [a.capacity for a in instance.agents]
+    scale = lcm(*(v.denominator for v in chain(held, caps)))
+    positions, capacities = _in_units(held, scale), _in_units(caps, scale)
+    levels = {*positions, *map(add, positions, capacities)}
     return IntegerGrid(scale, positions, capacities, tuple(sorted(levels)))
 
 
@@ -424,11 +408,23 @@ def batch_group_totals(
     whose rows are strictly increasing indices into ``grid.levels``.  Row
     ``b`` of the ``(B, g)`` result is the ``group_totals`` of
     :func:`improvement_report` for the levels of ``sets[b]``, times
-    ``grid.scale``.  The rule is applied directly: an agent takes the first
-    member at or above the first level strictly above its position, if that
-    level is within its reach.  int64 when ``grid.fits_int64``, exact
-    ``object`` integers otherwise.
+    ``grid.scale``: the :func:`_rule_kernel` gains summed by group.  Group
+    arrays past physical memory are refused before they are allocated.
     """
+    g = instance.num_groups
+    check_memory(8 * (instance.size + len(sets)) * g, "the group-sum array",
+                 _physical_memory())
+    gains = _rule_kernel(grid, sets)[1]
+    member = np.equal.outer([a.group for a in instance.agents], np.arange(g))
+    return gains @ member.astype(gains.dtype)
+
+
+def _rule_kernel(grid: IntegerGrid, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The behavior rule for every agent of ``grid`` under every row of
+    ``sets`` (increasing indices into ``grid.levels``, padded with
+    ``len(grid.levels)``): each agent's place in each row and its scaled
+    gain, positive exactly when it moves, as two ``(rows, n)`` arrays, int64
+    when ``grid.fits_int64`` and exact ``object`` integers otherwise."""
     dtype = np.int64 if grid.fits_int64 else object
     rows, size = sets.shape
     m = len(grid.levels)
@@ -445,7 +441,5 @@ def batch_group_totals(
     first -= np.arange(rows)[:, None] * size
     padded = np.concatenate((sets, np.full((rows, 1), m, dtype=sets.dtype)), axis=1)
     chosen = np.take_along_axis(padded, first, axis=1)
-    gains = np.where(chosen < beyond, levels[chosen] - positions, 0)
-    member = np.equal.outer([a.group for a in instance.agents],
-                            np.arange(instance.num_groups))
-    return gains @ member.astype(dtype)
+    return first, np.where(chosen < beyond, levels[chosen] - positions, 0)
+

@@ -30,35 +30,20 @@ deterministic, and read-only once built.
 
 from __future__ import annotations
 
-import os
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import SearchSpaceTooLarge
+from .errors import _physical_memory, check_memory
 from .model import Instance, IntegerGrid, TargetSet, integer_grid
-
-
-def _physical_memory() -> Optional[int]:
-    """Bytes of physical memory, or None where the system cannot say."""
-    try:
-        total = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-    except (AttributeError, ValueError, OSError):
-        return None
-    return total if total > 0 else None
 
 
 def _check_fits(g: int, m: int, w: int, entries: int) -> None:
     """Refuse a table whose bands, row 0 and scatter entries (8 bytes a cell)
     exceed physical memory, before any of them is allocated."""
     need = 8 * ((g + 2) * m * w + (g + 2) * m + entries)
-    have = _physical_memory()
-    if have is not None and need > have:
-        raise SearchSpaceTooLarge(
-            f"the credit table needs {need} bytes, more than the {have} bytes "
-            "of physical memory"
-        )
+    check_memory(need, "the credit table", _physical_memory())
 
 
 class ContributionTable:
@@ -101,13 +86,14 @@ class ContributionTable:
         tps = np.asarray(grid.levels, dtype=dtype)
         p = np.asarray(grid.positions, dtype=dtype)
         r = p + np.asarray(grid.capacities, dtype=dtype)
-        gi = np.asarray([a.group for a in self.instance.agents], dtype=np.intp)
         # Positions and reaches are levels: agent a sits at level low[a] and
         # reaches the span[a] levels above it.
         low = np.searchsorted(tps, p)
         span = np.searchsorted(tps, r) - low
         self.width = w = int(span.max(initial=0))
         _check_fits(g, m, w, int(span.sum()))
+        # After the check: a group label past intp only comes with a huge g.
+        gi = np.asarray([a.group for a in self.instance.agents], dtype=np.intp)
         # One entry per agent and reachable level j, at offset t = j - low - 1.
         who = np.repeat(np.arange(len(p)), span)
         t = np.arange(len(who)) - np.repeat(np.cumsum(span) - span, span)

@@ -391,6 +391,25 @@ def test_table_too_large_for_memory_is_an_error_envelope(capsys, monkeypatch):
     assert "64 bytes" in payload["detail"]
 
 
+def test_huge_group_count_is_refused_before_allocation(capsys, tmp_path):
+    from goalpost.errors import _physical_memory
+
+    if _physical_memory() is None:
+        pytest.skip("this system does not report its physical memory")
+    path = error_case(tmp_path, "groups.json", {
+        "agents": [{"position": 0, "capacity": 1}], "num_groups": 10**12})
+    # A label past int64 implies a group count just as large.
+    label = error_case(tmp_path, "label.json", {
+        "agents": [{"position": 0, "capacity": 1, "group": 2**64}]})
+    for argv in (["oracle", "--k", "1", "--objective", "maxmin", "--instance", path],
+                 ["fptas", "--k", "2", "--epsilon", "1/2", "--instance", path],
+                 ["solve", "--k", "1", "--instance", label]):
+        code, payload = run_json(capsys, *argv)
+        assert code == 1, argv
+        assert payload["error"] == "SearchSpaceTooLarge", argv
+        assert "bytes of physical memory" in payload["detail"], argv
+
+
 def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["solve", "--instance", CLUSTER])  # missing --k

@@ -11,6 +11,7 @@ table and one DP run; it is checked against independent solo solves.
 import json
 import sys
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -31,7 +32,7 @@ from goalpost import (
     rational,
 )
 from goalpost.cli import main
-from goalpost.errors import ParameterOutOfRange
+from goalpost.errors import ParameterOutOfRange, rational_detail
 from goalpost.model import _apply_rule, group_welfare, rational_str
 from helpers import random_common_instance
 
@@ -99,6 +100,19 @@ def test_values_past_int64_take_the_exact_object_path():
     assert report.total == F(7, 2)
     (small,) = _apply_rule(agents[2:], (F(1, 2),))
     assert small.gains.dtype == "int64"
+
+
+def test_a_negative_level_past_int64_takes_the_exact_object_path():
+    # No level is above 2^60, but one is far below -2^63: the int64 guard
+    # compares magnitudes.
+    agents = (Agent(0, 1), Agent(5, 1))
+    targets = TargetSet((-2**70, F(1, 3), 6))
+    (rule,) = _apply_rule(agents, targets.levels)
+    assert rule.gains.dtype == object
+    assert rule.chosen.tolist() == [1, 2]
+    assert group_welfare(agents, targets) == F(4, 3)
+    report = improvement_report(Instance(agents, 1), targets)
+    assert [o.chosen_target for o in report.per_agent] == [F(1, 3), 6]
 
 
 def test_empty_agents_and_empty_targets():
@@ -203,3 +217,33 @@ def test_results_past_the_digit_limit_are_an_error_envelope(
         assert code == 1, name
         assert payload["error"] == "ParameterOutOfRange", name
         assert not out.exists(), name
+
+
+def test_error_details_never_raise(default_digit_limit):
+    assert rational_detail(F(-3, 4)) == "-3/4"
+    assert rational_detail(F(10**4299)) == str(10**4299)
+    assert rational_detail(F(-1, 10**4300)) == (
+        "-(a 1-bit numerator over a 14285-bit denominator)")
+
+
+def test_negative_position_past_the_digit_limit_is_an_error_envelope(
+    capsys, tmp_path, default_digit_limit
+):
+    path = tmp_path / "negative.json"
+    path.write_text(json.dumps({"agents": [{"position": "-1e-4300", "capacity": 1}]}))
+    assert main(["solve", "--instance", str(path), "--k", "1"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["error"] == "NegativePosition"
+    assert payload["detail"].startswith("agent 0 has position -(a 1-bit numerator")
+
+
+def test_learn_bound_parameter_past_the_digit_limit_is_an_error_envelope(
+    capsys, default_digit_limit
+):
+    uniform = Path(__file__).parent / "data" / "uniform01.json"
+    code = main(["learn-bound", "--instance", str(uniform), "--k", "2",
+                 "--epsilon=-1e-4300", "--delta", "1/10"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert payload["error"] == "ParameterOutOfRange"
+    assert payload["detail"].startswith("epsilon must be positive, got -(a 1-bit")

@@ -12,6 +12,7 @@ from goalpost import (
     TargetSet,
     brute_force_optimum,
     eligible_target,
+    improvement_at,
     improvement_report,
     potential_targets,
     rational,
@@ -234,3 +235,29 @@ def test_batch_kernel_rows_are_scaled_reports(lifted, data):
     for row, got in zip(rows, totals.tolist()):
         report = improvement_report(inst, TargetSet(tuple(levels[j] for j in row)))
         assert got == [total * grid.scale for total in report.group_totals]
+
+
+@given(lifted_instances(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_batch_kernel_rows_match_the_scalar_rule(lifted, data):
+    """Each row of the kernel is the scalar rule applied agent by agent,
+    summed per group and scaled, on both the int64 and the object path."""
+    inst, lift = lifted
+    grid = integer_grid(inst)
+    m = len(grid.levels)
+    size = data.draw(st.integers(0, min(m, 3)))
+    rows = data.draw(st.lists(
+        st.lists(st.integers(0, m - 1), min_size=size, max_size=size, unique=True)
+        .map(sorted),
+        min_size=1, max_size=6,
+    ))
+    sets = np.array(rows, np.intp).reshape(len(rows), size)
+    totals = batch_group_totals(inst, grid, sets)
+    assert totals.dtype == (object if lift else np.int64)
+    levels = potential_targets(inst).levels
+    for row, got in zip(rows, totals.tolist()):
+        targets = TargetSet(tuple(levels[j] for j in row))
+        expected = [F(0)] * inst.num_groups
+        for a in inst.agents:
+            expected[a.group] += improvement_at(a.position, a.capacity, targets)
+        assert got == [total * grid.scale for total in expected]
