@@ -118,5 +118,7 @@ def _load_json(path: str) -> Any:
             return json.load(handle)
     except OSError as exc:
         raise InstanceParseError(f"cannot read {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
+        # ValueError: invalid JSON, bytes that are not UTF-8, or an integer
+        # literal past Python's digit limit; RecursionError: deep nesting.
         raise InstanceParseError(f"{path}: invalid JSON ({exc})") from None

@@ -196,6 +196,21 @@ def required_samples_groups(
     return _sample_count(bound)
 
 
+def required_samples(
+    dist: Union[PositionDistribution, GroupMixture],
+    epsilon: RationalLike,
+    delta: RationalLike,
+    k: int,
+) -> int:
+    """Samples sufficient for ``dist``: the grouped bound for a mixture, the
+    single-distribution bound otherwise."""
+    if isinstance(dist, GroupMixture):
+        return required_samples_groups(
+            epsilon, delta, k, dist.delta_max, dist.num_groups, dist.alpha_min
+        )
+    return required_samples_single(epsilon, delta, k, dist.capacity)
+
+
 def expected_improvement(dist: PositionDistribution, targets: TargetSet) -> Fraction:
     """Exact expectation of the improvement under the behavior rule."""
     return sum(
@@ -283,13 +298,10 @@ def deviation_experiment(
     if seed < 0:
         raise ParameterOutOfRange("seed must be non-negative")
 
+    n = required_samples(dist, eps, delta, k)
     if isinstance(dist, GroupMixture):
-        n = required_samples_groups(
-            eps, delta, k, dist.delta_max, dist.num_groups, dist.alpha_min
-        )
         mixture = dist
     else:
-        n = required_samples_single(eps, delta, k, dist.capacity)
         mixture = GroupMixture(((Fraction(1), dist),))
     # One outcome per group and support point.  Each outcome is a one-agent
     # group of its own, so the kernel's group totals are per-outcome gains.

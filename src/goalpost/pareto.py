@@ -44,7 +44,8 @@ from math import inf
 from operator import add, ge, itemgetter
 from typing import Callable, Mapping, Optional
 
-from .errors import NonIntegralInstance
+from .errors import NonIntegralInstance, SearchSpaceTooLarge
+from .errors import _physical_memory, check_memory
 from .model import Instance, TargetSet, validate_instance
 from .tables import ContributionTable
 
@@ -172,11 +173,33 @@ def frontier_dp(
     it and in each state, a tuple keeps the witness of its lowest ``j``.
     Each tuple stores its witness as a back-pointer into the layer below;
     the chains are walked once, at the root.
+
+    Raises ``SearchSpaceTooLarge`` before the tuples held (8 bytes a group)
+    would exceed physical memory, or when an allocation fails anyway (under
+    an address-space limit below physical memory).
     """
-    m, w = table.grid_size, table.width
+    try:
+        return _frontier_dp(table, k, gain)
+    except MemoryError:
+        pass
+    # Raised outside the handler, so the DP's states are already released.
+    raise SearchSpaceTooLarge("the frontier DP ran out of memory")
+
+
+def _frontier_dp(table: ContributionTable, k: int, gain: Callable) -> tuple[dict, int]:
+    m, w, g = table.grid_size, table.width, table.instance.num_groups
+    have = _physical_memory()
+
+    def hold(tuples: int) -> None:
+        # A tuple of g ints holds at least g 8-byte slots.
+        check_memory(8 * g * tuples, "the frontier DP's welfare tuples", have)
+
+    # The gains, the base tuple, then each layer's states: a running count.
+    gains = m * (w + 1) + 1
+    hold(gains)
     near = [[gain(i, j) for j in range(i + 1, min(i + w + 1, m))] for i in range(m - 1)]
     far = {j: gain(0, j) for j in range(w + 1, m)}
-    base: State = [((0,) * table.instance.num_groups, None)]
+    base: State = [((0,) * g, None)]
     # An empty grid still has the empty chain at its root.
     prev = [base] * max(m, 1)
     # layers[t][j]: the back-pointers stored in state j of layer t.
@@ -185,6 +208,8 @@ def frontier_dp(
     # No chain holds more than m - 1 targets: every later layer repeats.
     for _ in range(min(k, max(m - 1, 0))):
         keys = [[key for key, _ in state] for state in prev]
+        sizes = [len(state) for state in prev]
+        held = gains + sum(sizes)
         layers.append([[link for _, link in state] for state in prev])
         # What a candidate drawn from state j points back to.
         pointers = [
@@ -198,13 +223,18 @@ def frontier_dp(
         # suffix[s]: the pruned union over j >= s, for s past row 0's band.
         suffix: list[State] = [[]] * (m + 1)
         for s in range(m - 1, w, -1):
+            held += sizes[s]
+            hold(held)
             suffix[s] = _pruned(shifted(s, far[s]) + suffix[s + 1])
         cur = [base] * len(prev)
         for i in range(m - 1):
+            # The candidates' new tuples are counted before they are made.
+            hold(held + sum(sizes[i + 1 : i + w + 1]))
             candidates = []
             for j, added in enumerate(near[i], i + 1):
                 candidates += shifted(j, added)
             cur[i] = _pruned(candidates + suffix[min(i + w + 1, m)])
+            held += len(cur[i])
             peak = max(peak, len(cur[i]))
         prev = cur
 

@@ -575,3 +575,64 @@ def test_any_instance_document_answers_or_fails_as_documented(
         assert sorted(payload) == ["detail", "error"], argv
     else:
         assert code == 0 and payload["command"] == command, argv
+
+
+# -- the command table ----------------------------------------------------------
+
+SUBCOMMANDS = [
+    ("solve", CLUSTER, []),
+    ("solve-lb", CLUSTER, ["--n-lb", "1"]),
+    ("sweep", CLUSTER, []),
+    ("pareto", TWO_GROUPS, []),
+    ("maxmin", TWO_GROUPS, []),
+    ("fptas", TWO_GROUPS, ["--epsilon", "1/2"]),
+    ("fair-approx", INTERFERENCE, []),
+    ("factor", INTERFERENCE, ["--budget", "1"]),
+    ("oracle", TWO_GROUPS, ["--objective", "pareto"]),
+    ("learn-bound", UNIFORM, ["--epsilon", "1/2", "--delta", "1/2"]),
+    ("learn-experiment", MIXTURE,
+     ["--epsilon", "1/2", "--delta", "1/2", "--trials", "3", "--seed", "0"]),
+]
+
+
+@pytest.mark.parametrize("index", range(len(SUBCOMMANDS)),
+                         ids=[name for name, _, _ in SUBCOMMANDS])
+def test_each_subcommand_is_listed_and_answers(capsys, index):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    listing = capsys.readouterr().out.split("{", 1)[1].split("}", 1)[0]
+    assert listing.split(",") == [name for name, _, _ in SUBCOMMANDS]
+
+    name, path, flags = SUBCOMMANDS[index]
+    code, payload = run_json(capsys, name, "--instance", path, "--k", "2", *flags)
+    assert code == 0
+    assert (payload["command"], payload["k"]) == (name, 2)
+
+
+@pytest.mark.parametrize("content", [
+    b'{"agents": [{"position": 0, "capacity": 1, "group": ' + b"9" * 4400 + b"}]}",
+    b"\xff\xfe{}",
+    b"[" * 200000 + b"]" * 200000,
+], ids=["integer-past-digit-limit", "not-utf8", "nested-past-recursion-limit"])
+def test_unreadable_instance_files_are_parse_errors(capsys, tmp_path, content):
+    path = tmp_path / "unreadable.json"
+    path.write_bytes(content)
+    for argv in (["solve", "--k", "1"],
+                 ["learn-bound", "--k", "1", "--epsilon", "1/2", "--delta", "1/2"]):
+        code, payload = run_json(capsys, *argv, "--instance", str(path))
+        assert code == 1, argv
+        assert payload["error"] == "InstanceParseError", argv
+        assert str(path) in payload["detail"], argv
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    out = str(tmp_path / "missing" / "result.json")
+    for argv in (["solve", "--instance", CLUSTER, "--k", "1"],
+                 ["sweep", "--instance", CLUSTER, "--k", "1", "--format", "csv"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--out", out])
+        assert exc.value.code == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "", argv
+        assert f"cannot write --out {out}" in captured.err, argv

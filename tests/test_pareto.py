@@ -136,3 +136,37 @@ def test_max_min_is_not_simultaneously_near_optimal():
     assert maxmin_alpha == F(1, 3)
     assert best_alpha == F(1, 2)
     assert maxmin_alpha < best_alpha
+
+
+def _one_agent_per_group(g: int) -> Instance:
+    return Instance(tuple(Agent(3 * i, 4, i) for i in range(g)), g)
+
+
+def test_frontier_tuples_past_physical_memory_are_refused(monkeypatch):
+    from goalpost import fptas_max_min, pareto
+    from goalpost.errors import SearchSpaceTooLarge
+
+    inst = _one_agent_per_group(10)
+    # The gains fit in 10,000 bytes; the states the budgets need do not.
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: 10_000)
+    with pytest.raises(SearchSpaceTooLarge, match="10000 bytes"):
+        pareto_frontier(inst, 3)
+    with pytest.raises(SearchSpaceTooLarge, match="10000 bytes"):
+        fptas_max_min(inst, 10, F(1, 2))
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: 64)
+    with pytest.raises(SearchSpaceTooLarge, match="welfare tuples"):
+        pareto_frontier(inst, 1)
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: None)
+    assert len(pareto_frontier(inst, 3).points) > 1
+
+
+def test_a_failed_frontier_allocation_is_refused(monkeypatch):
+    from goalpost import pareto
+    from goalpost.errors import SearchSpaceTooLarge
+
+    def exhausted(candidates):
+        raise MemoryError
+
+    monkeypatch.setattr(pareto, "_pruned", exhausted)
+    with pytest.raises(SearchSpaceTooLarge, match="ran out of memory"):
+        pareto_frontier(_one_agent_per_group(3), 2)
