@@ -56,8 +56,8 @@ def subset_cap(override: Optional[int] = None) -> int:
     return int(text)
 
 
-# Subsets per chunk times agents: each of the kernel's (rows, agents) int64
-# arrays stays at 64 KB, small enough to stay in cache.
+# Subsets per chunk times the larger of agents and groups: the kernel's
+# (rows, agents) and (rows, groups) int64 arrays stay at 64 KB, in cache.
 _CHUNK_CELLS = 1 << 13
 
 
@@ -92,7 +92,7 @@ def evaluated_subsets(
     """Chunks of grid-index subsets of size min_size..k, in enumeration
     order, each with its ``(rows, g)`` scaled group totals; refuses past the
     cap before evaluating anything."""
-    rows = max(1, _CHUNK_CELLS // max(instance.size, 1))
+    rows = max(1, _CHUNK_CELLS // max(instance.size, instance.num_groups))
     for sets in _index_chunks(len(grid.levels), k, rows, max_subsets, min_size):
         yield sets, batch_group_totals(instance, grid, sets)
 

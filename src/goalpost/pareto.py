@@ -114,11 +114,9 @@ def _skyline(ranked: list[tuple[tuple, object]]) -> list[tuple[tuple, object]]:
             lows[first:at] = (low,)
             kept.append(pair)
     else:
-        rests: list[tuple] = []
+        # Whole keys: a kept key already covers the first coordinate.
         for pair in ranked:
-            rest = pair[0][1:]
-            if not any(all(map(ge, prev, rest)) for prev in rests):
-                rests.append(rest)
+            if not any(all(map(ge, prev, pair[0])) for prev, _ in kept):
                 kept.append(pair)
     return kept
 

@@ -23,6 +23,12 @@ Each layer reads the credit table's band: for level ``i`` the candidates
 its row-0 credit and count, so one suffix maximum of
 ``credit(0, j) + tail[j]`` per row ``eta`` serves every ``i``.  A layer costs
 O(m·W) instead of O(m²).
+
+One driver, :func:`_solve_budgets`, serves every caller.  It runs the layers
+once, up to the largest budget asked for, holding only the value layer below
+the one it fills, and reconstructs each budget from the stored choices:
+O(k·(n_lb+1)·m) memory.  A run past physical memory, or whose allocation
+fails anyway, is refused with ``SearchSpaceTooLarge``.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from .errors import SearchSpaceTooLarge, _physical_memory, check_memory
 from .model import EMPTY_TARGETS, Instance, TargetSet, validate_instance
 from .tables import ContributionTable
 
@@ -60,20 +67,22 @@ class BudgetCurve:
 
 
 def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
-    """All DP rows up to budget k.  ``values[b][eta, i]`` is the best scaled
-    improvement above level ``i`` with ``b`` targets when at least ``eta``
-    agents must improve (-1 when impossible); ``choices[b - 1][eta, i]`` is
-    the lowest target it places.  Rows end in ``W`` more columns of -1, the
-    levels past the top of the grid that the band of the top rows reaches."""
+    """Budget layers up to k, one value layer held at a time.  A layer's
+    ``[eta, i]`` is the best scaled improvement above level ``i`` when at
+    least ``eta`` agents must improve (-1 when impossible), and ends in ``W``
+    more columns of -1, the levels past the top that the top rows' band
+    reaches.  Returns each layer's root column ``[eta]`` and the choices:
+    ``choices[b - 1][eta, i]`` is the lowest target layer ``b`` places."""
     m, w = table.grid_size, table.width
+    need = 8 * (n_lb + 1) * (k * m + 2 * (m + w))  # 8 bytes a cell
+    check_memory(need, "the welfare DP's choices and value layers", _physical_memory())
     cols = sliding_window_view(np.arange(1, m + w), w)[:m]  # band cell -> level
     past = np.minimum(np.arange(m) + w + 1, m)  # first level past each band
-    first = np.full((n_lb + 1, m + w), -1, dtype=table.credits.dtype)
-    first[0, :m] = 0
-    values = [first]
+    prev = np.full((n_lb + 1, m + w), -1, dtype=table.credits.dtype)
+    prev[0, :m] = 0
+    roots = [prev[:, 0].copy()]
     choices = []
     for _ in range(k):
-        prev = values[-1]
         cur = np.full_like(prev, -1)
         pick = np.zeros((n_lb + 1, m), dtype=np.intp)
         for eta in range(n_lb + 1):
@@ -81,9 +90,10 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
             if cur[eta].max() < 0:
                 break  # more improvers are no easier: the rest stays -1
         cur[0, m - 1] = 0  # topmost level: nothing above it to place
-        values.append(cur)
+        roots.append(cur[:, 0].copy())
         choices.append(pick)
-    return values, choices
+        prev = cur
+    return roots, choices
 
 
 def _best_targets(table: ContributionTable, prev, eta: int, cols, past):
@@ -130,37 +140,33 @@ def _reconstruct(
     return table.served_targets(chain)
 
 
-def _solve_budgets(table: ContributionTable, budgets: Sequence[int]) -> list[DpSolution]:
-    """The welfare optimum at each of ``budgets`` from one DP run.
-
-    The run stops at the largest budget asked for, or at m - 1 layers: no
-    chain holds more targets, so every later layer repeats.  Only the
-    budgets asked for are reconstructed."""
-    if table.grid_size <= 1:  # nobody can improve
-        return [DpSolution(Fraction(0), EMPTY_TARGETS) for _ in budgets]
-    top = min(max(budgets, default=0), table.grid_size - 1)
-    values, choices = _dp_rows(table, top)
-    return [
-        DpSolution(
-            table.to_fraction(int(values[b][0, 0])), _reconstruct(table, choices, b)
-        )
-        for b in (min(k, top) for k in budgets)
-    ]
-
-
-def _solve(table: ContributionTable, k: int, n_lb: int) -> Optional[DpSolution]:
-    if k == 0 or table.grid_size <= 1:
-        # Nobody can improve: only an empty lower bound is met.
-        return DpSolution(Fraction(0), EMPTY_TARGETS) if n_lb == 0 else None
-    # No chain holds more than m - 1 targets: every later layer repeats.
-    budget = min(k, table.grid_size - 1)
-    values, choices = _dp_rows(table, budget, n_lb)
-    root = int(values[budget][n_lb, 0])
-    if root < 0:
-        return None
-    return DpSolution(
-        table.to_fraction(root), _reconstruct(table, choices, budget, n_lb)
-    )
+def _solve_budgets(
+    table: ContributionTable, budgets: Sequence[int], n_lb: int = 0
+) -> list[Optional[DpSolution]]:
+    """The optimum with at least ``n_lb`` improvers at each of ``budgets``
+    (None where there is none), from one DP run.  No chain holds more than
+    m - 1 targets, so budgets are clamped to m - 1; each distinct clamped
+    budget is reconstructed once."""
+    m = table.grid_size
+    if m <= 1:  # nobody can improve: only an empty lower bound is met
+        nobody = DpSolution(Fraction(0), EMPTY_TARGETS) if n_lb == 0 else None
+        return [nobody for _ in budgets]
+    clamped = [min(k, m - 1) for k in budgets]
+    top = max(clamped, default=0)
+    try:
+        # At n_lb = 0 the two-argument form, which a test stands in for.
+        roots, choices = _dp_rows(table, top, n_lb) if n_lb else _dp_rows(table, top)
+    except MemoryError:
+        roots = None
+    if roots is None:  # raised outside the handler, so the layers are freed first
+        raise SearchSpaceTooLarge("the welfare DP ran out of memory")
+    solved = {
+        b: DpSolution(table.to_fraction(int(roots[b][n_lb])),
+                      _reconstruct(table, choices, b, n_lb))
+        for b in set(clamped)
+        if roots[b][n_lb] >= 0
+    }
+    return [solved.get(b) for b in clamped]
 
 
 def max_total_improvement(
@@ -180,7 +186,7 @@ def max_total_improvement(
     validate_instance(instance)
     if table is None:
         table = ContributionTable(instance, engine=engine)
-    return _solve(table, k, 0)
+    return _solve_budgets(table, (k,))[0]
 
 
 def optimal_target_count_sweep(
@@ -192,17 +198,12 @@ def optimal_target_count_sweep(
         raise ValueError("k_max must be non-negative")
     validate_instance(instance)
     table = ContributionTable(instance, engine=engine)
-    budget = min(k_max, max(table.grid_size - 1, 0))
-    entries = [
+    entries = tuple(
         BudgetPoint(k, solution.value, solution.targets)
-        for k, solution in enumerate(_solve_budgets(table, range(budget + 1)))
-    ]
-    last = entries[-1]
-    entries += [
-        BudgetPoint(k, last.value, last.targets) for k in range(len(entries), k_max + 1)
-    ]
-    min_k = next(e.k for e in entries if e.value == last.value)
-    return BudgetCurve(tuple(entries), min_k)
+        for k, solution in enumerate(_solve_budgets(table, range(k_max + 1)))
+    )
+    min_k = next(e.k for e in entries if e.value == entries[-1].value)
+    return BudgetCurve(entries, min_k)
 
 
 def max_total_with_min_improvers(
@@ -225,4 +226,4 @@ def max_total_with_min_improvers(
         return None  # more improvers than agents
     if table is None:
         table = ContributionTable(instance)
-    return _solve(table, k, n_lb)
+    return _solve_budgets(table, (k,), n_lb)[0]

@@ -636,3 +636,16 @@ def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
         captured = capsys.readouterr()
         assert captured.out == "", argv
         assert f"cannot write --out {out}" in captured.err, argv
+
+
+def test_a_welfare_dp_past_physical_memory_is_an_envelope(capsys, monkeypatch):
+    from goalpost import welfare
+
+    monkeypatch.setattr(welfare, "_physical_memory", lambda: 64)
+    for argv in (["solve-lb", "--n-lb", "1"], ["solve"], ["sweep"], ["fair-approx"]):
+        code, payload = run_json(capsys, *argv, "--instance", CLUSTER, "--k", "2")
+        assert code == 1, argv
+        assert payload["error"] == "SearchSpaceTooLarge", argv
+        assert "the welfare DP's choices and value layers" in payload["detail"], argv
+    monkeypatch.setattr(welfare, "_physical_memory", lambda: None)
+    assert run(capsys, "solve-lb", "--instance", CLUSTER, "--k", "2", "--n-lb", "1")[0] == 0

@@ -23,6 +23,7 @@ from goalpost import (
 )
 from goalpost import oracle
 from goalpost.errors import ParameterOutOfRange, SearchSpaceTooLarge
+from goalpost.model import integer_grid
 from helpers import random_integral_instance
 
 
@@ -136,6 +137,20 @@ def test_enumeration_memory_does_not_grow_with_the_subset_count():
         tracemalloc.stop()
     assert value == 4
     assert peak < 4 * 2**20
+
+
+def test_chunks_of_many_groups_stay_within_the_cell_budget():
+    # 10 agents and 10^5 groups: a chunk sized by the agents alone would
+    # hold 819 rows of 10^5 group totals.
+    g = 10**5
+    inst = Instance(tuple(Agent(3 * i, 4, i) for i in range(10)), g)
+    grid = integer_grid(inst)
+    chunks = list(oracle.evaluated_subsets(inst, grid, 1))
+    assert sum(len(sets) for sets, _ in chunks) == 1 + len(grid.levels)
+    for sets, totals in chunks:
+        assert totals.shape == (len(sets), g)
+        # One row is the least a chunk can hold.
+        assert totals.size <= max(oracle._CHUNK_CELLS, g)
 
 
 positions = st.fractions(min_value=0, max_value=8, max_denominator=3)

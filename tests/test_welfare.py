@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -7,14 +9,17 @@ from goalpost import (
     Instance,
     TargetSet,
     brute_force_optimum,
+    group_optima_by_budget,
     improvement_report,
     iter_candidate_sets,
     max_total_improvement,
     max_total_with_min_improvers,
     optimal_target_count_sweep,
     pareto_frontier,
+    potential_targets,
     welfare,
 )
+from goalpost.tables import ContributionTable
 from helpers import random_integral_instance
 
 
@@ -265,3 +270,68 @@ def test_sweep_runs_no_layer_past_the_longest_chain(monkeypatch):
 def test_negative_budget_rejected():
     with pytest.raises(ValueError):
         max_total_improvement(Instance.common([0], 1), -1)
+
+
+@pytest.mark.parametrize("inst", [
+    Instance.common([], 1),  # no levels
+    Instance.common([3], 0),  # one level
+    Instance.common([0, 1, 3], 1),  # five levels
+])
+def test_zero_budget_meets_only_an_empty_lower_bound(inst):
+    empty = max_total_with_min_improvers(inst, 0, 0)
+    assert (empty.value, empty.targets) == (0, TargetSet(()))
+    assert max_total_with_min_improvers(inst, 0, 1) is None
+
+
+def test_unsorted_repeated_budgets_match_single_budget_solves(rng):
+    for _ in range(20):
+        inst = random_integral_instance(rng, max_agents=7)
+        m = len(potential_targets(inst))
+        budgets = [3, 0, m + 2, 1, 3, max(m - 1, 0), 0, 10**6]
+        rng.shuffle(budgets)
+        optima = group_optima_by_budget(inst, budgets)
+        assert sorted(optima) == sorted(set(budgets))
+        for b in budgets:
+            for g, solution in enumerate(optima[b].per_group):
+                solo = max_total_improvement(inst.isolate_group(g), b)
+                assert (solution.value, solution.targets) == (solo.value, solo.targets)
+        # The driver itself, with a lower bound: infeasible budgets are None.
+        table = ContributionTable(inst)
+        for n_lb in range(inst.size + 1):
+            solved = welfare._solve_budgets(table, budgets, n_lb)
+            for b, solution in zip(budgets, solved):
+                assert solution == max_total_with_min_improvers(inst, b, n_lb)
+
+
+def test_a_failed_welfare_allocation_is_refused(monkeypatch):
+    from goalpost.errors import SearchSpaceTooLarge
+
+    def exhausted(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(welfare, "_best_targets", exhausted)
+    inst = Instance.common([0, 1, 3], 1)
+    for solve in (lambda: max_total_improvement(inst, 2),
+                  lambda: max_total_with_min_improvers(inst, 2, 1),
+                  lambda: optimal_target_count_sweep(inst, 2)):
+        with pytest.raises(SearchSpaceTooLarge, match="ran out of memory"):
+            solve()
+
+
+def test_dp_rows_hold_two_value_layers_besides_the_choices():
+    rng = random.Random(5)
+    inst = Instance(tuple(Agent(rng.randint(0, 2000), rng.randint(1, 50))
+                          for _ in range(200)), 1)
+    table = ContributionTable(inst)
+    k, n_lb = 30, 60
+    m, w = table.grid_size, table.width
+    tracemalloc.start()
+    try:
+        welfare._dp_rows(table, k, n_lb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    choices, layer = 8 * k * (n_lb + 1) * m, 8 * (n_lb + 1) * (m + w)
+    # Two value layers, the roots and the scratch of one row; every layer
+    # kept would add k more.
+    assert peak < choices + 5 * layer
