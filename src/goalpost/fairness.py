@@ -26,14 +26,15 @@ Each group is solved alone once, for both budgets: one credit table and one
 DP run whose budget layers hold every smaller budget
 (:func:`group_optima_by_budget`).  Every re-application of the behavior
 rule (scoring the residue classes, the step-3 survivors and windows, the
-final report) runs on exact integers.
+final report) runs on exact integers, from the cached integer view of the
+isolated group or of the instance (:func:`goalpost.model.integer_grid`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     BudgetBelowGroupCount,
@@ -48,9 +49,11 @@ from .model import (
     EMPTY_TARGETS,
     ImprovementReport,
     Instance,
+    IntegerGrid,
     TargetSet,
     _apply_rule,
     improvement_report,
+    integer_grid,
     validate_instance,
 )
 from .pareto import FrontierPoint, pareto_frontier
@@ -80,13 +83,18 @@ def group_optima_by_budget(
     largest budget, whose layers hold every smaller budget.  Each optimum
     equals ``max_total_improvement(instance.isolate_group(g), budget)``.
     """
+    solos = [instance.isolate_group(g) for g in range(instance.num_groups)]
+    return _solo_optima_by_budget(solos, budgets)
+
+
+def _solo_optima_by_budget(
+    solos: Sequence[Instance], budgets: Sequence[int]
+) -> dict[int, GroupOptima]:
+    """:func:`group_optima_by_budget` from the isolated groups."""
     if any(b < 0 for b in budgets):
         raise ValueError("k must be non-negative")
-    solved = [
-        _solve_budgets(ContributionTable(validate_instance(instance.isolate_group(g))),
-                       budgets)
-        for g in range(instance.num_groups)
-    ]
+    solved = [_solve_budgets(ContributionTable(validate_instance(solo)), budgets)
+              for solo in solos]
     return {
         budget: GroupOptima(budget, tuple(solutions[at] for solutions in solved))
         for at, budget in enumerate(budgets)
@@ -113,13 +121,18 @@ def prune_every_other(targets: TargetSet, delta: Fraction) -> TargetSet:
 
 
 def distant_targets(
-    targets: TargetSet, group_agents: Sequence[Agent], delta: Fraction
+    targets: TargetSet,
+    group_agents: Sequence[Agent],
+    delta: Fraction,
+    grid: Optional[IntegerGrid] = None,
 ) -> TargetSet:
     """Keep the residue class mod 4 of the levels that serves the agents best.
 
     Input levels must already have every other level ``delta`` apart; kept
     levels are then at least ``2 * delta`` apart, and the kept class earns at
-    least a quarter of the input welfare on these agents.
+    least a quarter of the input welfare on these agents.  ``grid``, when
+    given, is the agents' integer view (their isolated group's
+    :func:`integer_grid`).
     """
     levels = targets.levels
     for i in range(len(levels) - 2):
@@ -132,7 +145,7 @@ def distant_targets(
     if len(levels) <= 1:
         return targets
     parts = [levels[r::4] for r in range(4)]
-    totals = [rule.total for rule in _apply_rule(group_agents, *parts)]
+    totals = [rule.total for rule in _apply_rule(group_agents, *parts, grid=grid)]
     # max keeps the first of equal totals: ties go to the lowest class.
     return TargetSet(parts[max(range(4), key=totals.__getitem__)])
 
@@ -254,27 +267,31 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     g = instance.num_groups
     if k < g:
         raise BudgetBelowGroupCount(f"budget {k} is below the group count {g}")
-    members = [instance.group_members(gi) for gi in range(g)]
-    for gi, agents in enumerate(members):
-        if not agents:
+    solos = [instance.isolate_group(gi) for gi in range(g)]
+    for gi, solo in enumerate(solos):
+        if not solo.agents:
             raise EmptyGroup(f"group {gi} has no agents")
+    members = [instance.group_members(gi) for gi in range(g)]
     delta = instance.common_capacity
     split_budget = -(-k // g)
 
-    optima = group_optima_by_budget(instance, (split_budget, k))
+    # Each group is isolated once: its solo optima and every re-application
+    # of the rule to its agents read the same integer view.
+    grids = [integer_grid(solo) for solo in solos]
+    optima = _solo_optima_by_budget(solos, (split_budget, k))
     split_optima = optima[split_budget]
     step1 = [solo.targets for solo in split_optima.per_group]
     spaced, sparse, localized, survivors = [], [], [], []
-    for solo, agents in zip(step1, members):
+    for solo, agents, grid in zip(step1, members, grids):
         if delta > 0:
             spread = prune_every_other(solo, delta)
-            sparse_set = distant_targets(spread, agents, delta)
+            sparse_set = distant_targets(spread, agents, delta, grid)
         else:
             spread = solo
             sparse_set = solo
         spaced.append(spread)
         sparse.append(sparse_set)
-        (rule,) = _apply_rule(agents, sparse_set.levels)
+        (rule,) = _apply_rule(agents, sparse_set.levels, grid=grid)
         chosen = rule.chosen.tolist()
         survivors.append(tuple(a for a, j in zip(agents, chosen) if j >= 0))
         # Kept levels are at least 2·delta apart, so the served agents in the

@@ -1,7 +1,10 @@
 """JSON schemas for instances, distributions, and solver results.
 
 Rationals travel as strings ("7/2") or bare integers; floats are rejected to
-keep every value exact.  Parse errors name the offending JSON path.
+keep every value exact.  Parse errors name the offending JSON path, which is
+formatted only when there is an error.  A bare integer becomes a
+``Fraction`` at once and is not coerced again; the instance's integer view
+is built from these fields on first use (:func:`goalpost.model.integer_grid`).
 """
 
 from __future__ import annotations
@@ -15,22 +18,25 @@ from .learning import GroupMixture, PositionDistribution
 from .model import Agent, CapacityModel, Instance, rational
 
 
-def _parse_rational(value: Any, path: str) -> Fraction:
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InstanceParseError(
-            f"{path}: expected an integer or \"num/den\" string, got {value!r}"
-        )
-    try:
-        return rational(value)
-    except (TypeError, ValueError, ZeroDivisionError):
-        raise InstanceParseError(
-            f"{path}: expected an integer or \"num/den\" string, got {value!r}"
-        ) from None
+def _parse_rational(value: Any, path: str, *where: Any) -> Fraction:
+    """``value`` as an exact rational.  An error names the JSON path
+    ``path.format(*where)``."""
+    if type(value) is int:
+        return Fraction(value)
+    if not isinstance(value, (bool, float)):
+        try:
+            return rational(value)
+        except (TypeError, ValueError, ZeroDivisionError):
+            pass
+    raise InstanceParseError(
+        f"{path.format(*where)}: expected an integer or \"num/den\" string, "
+        f"got {value!r}"
+    )
 
 
-def _expect_object(value: Any, path: str) -> dict:
+def _expect_object(value: Any, path: str, *where: Any) -> dict:
     if not isinstance(value, dict):
-        raise InstanceParseError(f"{path}: expected an object")
+        raise InstanceParseError(f"{path.format(*where)}: expected an object")
     return value
 
 
@@ -46,9 +52,9 @@ def parse_instance(payload: Any) -> Instance:
     raw_agents = _expect_list(obj.get("agents", []), "agents")
     agents = []
     for idx, entry in enumerate(raw_agents):
-        record = _expect_object(entry, f"agents[{idx}]")
-        position = _parse_rational(record.get("position"), f"agents[{idx}].position")
-        capacity = _parse_rational(record.get("capacity"), f"agents[{idx}].capacity")
+        record = _expect_object(entry, "agents[{}]", idx)
+        position = _parse_rational(record.get("position"), "agents[{}].position", idx)
+        capacity = _parse_rational(record.get("capacity"), "agents[{}].capacity", idx)
         group = record.get("group", 0)
         if not isinstance(group, int) or isinstance(group, bool):
             raise InstanceParseError(f"agents[{idx}].group: expected an integer")
@@ -81,8 +87,8 @@ def parse_distribution(
         raw = _expect_list(obj["components"], "components")
         components = []
         for idx, entry in enumerate(raw):
-            record = _expect_object(entry, f"components[{idx}]")
-            weight = _parse_rational(record.get("weight"), f"components[{idx}].weight")
+            record = _expect_object(entry, "components[{}]", idx)
+            weight = _parse_rational(record.get("weight"), "components[{}].weight", idx)
             dist = _parse_single_distribution(
                 record.get("dist"), f"components[{idx}].dist"
             )
@@ -92,17 +98,17 @@ def parse_distribution(
 
 
 def _parse_single_distribution(payload: Any, path: str) -> PositionDistribution:
-    obj = _expect_object(payload, path)
-    capacity = _parse_rational(obj.get("capacity"), f"{path}.capacity")
+    obj = _expect_object(payload, "{}", path)
+    capacity = _parse_rational(obj.get("capacity"), "{}.capacity", path)
     raw = _expect_list(obj.get("support", []), f"{path}.support")
     support = []
     for idx, entry in enumerate(raw):
-        record = _expect_object(entry, f"{path}.support[{idx}]")
+        record = _expect_object(entry, "{}.support[{}]", path, idx)
         position = _parse_rational(
-            record.get("position"), f"{path}.support[{idx}].position"
+            record.get("position"), "{}.support[{}].position", path, idx
         )
         probability = _parse_rational(
-            record.get("probability"), f"{path}.support[{idx}].probability"
+            record.get("probability"), "{}.support[{}].probability", path, idx
         )
         support.append((position, probability))
     return PositionDistribution(tuple(support), capacity)

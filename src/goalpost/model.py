@@ -8,18 +8,25 @@ The behavior rule: given a set of target levels, an agent moves to the lowest
 level that is strictly above its position and within its capacity, or stays
 put if no such level exists.
 
-The candidate levels, every position and reach, are formed in one place:
-:func:`integer_grid` scales the instance once by its least common
-denominator, and :func:`potential_targets` is the grid's rational view.
+Each instance has one integer view, :func:`integer_grid`: its positions and
+capacities scaled once by their least common denominator, with the
+candidate levels (every position and reach) sorted, and the int64 guard
+:attr:`IntegerGrid.fits_int64` decided once.  The view and a passed
+:func:`validate_instance` are computed on first use and kept on the
+instance itself, so they live exactly as long as it does.  Validation reads
+the scaled positions and capacities, not the ``Fraction`` fields; the
+sorted levels are added when the view is first asked for.
+:meth:`Instance.isolate_group` derives a group's scaled fields and validity
+from its parent's.  :func:`potential_targets` is the view's rational form.
 
 One integer kernel, :func:`_rule_kernel`, applies the rule in bulk: one
 ``searchsorted`` finds every agent's target under every row of level
 indices, in int64 when :attr:`IntegerGrid.fits_int64` holds and in exact
 ``object`` integers otherwise.  :func:`batch_group_totals` sums its gains by
 group over subsets of the grid; :func:`improvement_report` and
-:func:`group_welfare` reach it through :func:`_apply_rule`, which scales the
-agents and any target levels by one common denominator.  The scalar
-reference it is tested against is :func:`improvement_at`.
+:func:`group_welfare` reach it through :func:`_apply_rule`, which extends
+the agents' integer view by the denominators of any target levels.  The
+scalar reference it is tested against is :func:`improvement_at`.
 """
 
 from __future__ import annotations
@@ -30,7 +37,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import add
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -66,6 +73,12 @@ def rational(value: RationalLike) -> Fraction:
         return value
     if isinstance(value, bool):
         raise TypeError("bool is not a rational value")
+    if isinstance(value, str):
+        # Plain digits, or digits "/" digits: the same value as Fraction's
+        # own parse (its \d is str.isdecimal's set), without its regex.
+        num, slash, den = value.partition("/")
+        if num.isdecimal() and (den.isdecimal() or not slash):
+            return Fraction(int(num), int(den) if slash else 1)
     if isinstance(value, str) and ("e" in value or "E" in value):
         exponent = _EXPONENT.search(value)
         digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
@@ -89,6 +102,11 @@ def rational_str(value: Fraction) -> str:
         ) from None
 
 
+# The keys under which an instance keeps, in its own __dict__, its scaled
+# fields (the view's first part), its integer view and a passed validation.
+_SCALED, _GRID, _VALID = "_scaled", "_grid", "_valid"
+
+
 class CapacityModel(Enum):
     COMMON = "common"
     INDIVIDUALIZED = "individualized"
@@ -103,8 +121,10 @@ class Agent:
     group: int = 0
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "position", rational(self.position))
-        object.__setattr__(self, "capacity", rational(self.capacity))
+        if type(self.position) is not Fraction:
+            object.__setattr__(self, "position", rational(self.position))
+        if type(self.capacity) is not Fraction:
+            object.__setattr__(self, "capacity", rational(self.capacity))
 
     @property
     def reach(self) -> Fraction:
@@ -117,7 +137,11 @@ class Instance:
     """A collection of agents split into ``num_groups`` groups.
 
     Construction only coerces field types; call :func:`validate_instance`
-    to enforce the full invariants (it is cheap and solvers do it on entry).
+    to enforce the full invariants (solvers do it on entry).  The integer
+    view (:func:`integer_grid`) and a passed validation are cached in the
+    instance's ``__dict__`` on first use.  They are not fields, so they take
+    no part in equality, hashing or ``repr``, and they die with the
+    instance.
     """
 
     agents: tuple[Agent, ...]
@@ -167,11 +191,27 @@ class Instance:
         return tuple(a for a in self.agents if a.group == group)
 
     def isolate_group(self, group: int) -> "Instance":
-        """Sub-instance containing one group's agents, relabeled to group 0."""
-        members = tuple(
-            Agent(a.position, a.capacity, 0) for a in self.agents if a.group == group
-        )
-        return Instance(members, 1, self.capacity_model)
+        """Sub-instance containing one group's agents, relabeled to group 0.
+
+        Its integer view starts from the parent's scaled rows of those
+        agents, brought to their own least common denominator, and it counts
+        as validated when the parent does: a valid instance's groups are
+        valid instances."""
+        scale, held, caps = _scaled_fields(self)
+        rows = [i for i, a in enumerate(self.agents) if a.group == group]
+        agents = self.agents
+        sub = Instance(tuple(Agent(agents[i].position, agents[i].capacity, 0)
+                             for i in rows), 1, self.capacity_model)
+        positions = [held[i] for i in rows]
+        capacities = [caps[i] for i in rows]
+        # A member's denominator is scale / gcd(scale, its scaled value), so
+        # the members' least common multiple is scale / gcd of them all.
+        common = gcd(scale, *positions, *capacities)
+        vars(sub)[_SCALED] = (scale // common, tuple(p // common for p in positions),
+                              tuple(c // common for c in capacities))
+        if _VALID in vars(self):
+            vars(sub)[_VALID] = True
+        return sub
 
 
 def validate_instance(instance: Instance) -> Instance:
@@ -179,9 +219,39 @@ def validate_instance(instance: Instance) -> Instance:
 
     Raises NegativePosition, NegativeCapacity, GroupIndexOutOfRange, or
     CommonCapacityViolated.  Empty groups are legal (reported as 0 welfare).
+    The checks read the integer view's scaled positions and capacities; a
+    pass is kept on the instance, a failure is not, so an invalid instance
+    raises on every call.
     """
+    if _VALID not in vars(instance):
+        _check_fields(instance)
+        vars(instance)[_VALID] = True
+    return instance
+
+
+def _check_fields(instance: Instance) -> None:
     if instance.num_groups < 1:
         raise GroupIndexOutOfRange("num_groups must be at least 1")
+    _, positions, capacities = _scaled_fields(instance)
+    groups = [a.group for a in instance.agents]
+    # The scale is positive, so a scaled value has its value's sign.
+    if not (min(positions, default=0) >= 0 and min(capacities, default=0) >= 0
+            and min(groups, default=0) >= 0
+            and max(groups, default=0) < instance.num_groups):
+        _raise_first_bad_field(instance)
+    if (instance.capacity_model is CapacityModel.COMMON and capacities
+            and capacities.count(capacities[0]) != len(capacities)):
+        shared = instance.agents[0].capacity
+        for idx, agent in enumerate(instance.agents):
+            if agent.capacity != shared:
+                raise CommonCapacityViolated(
+                    f"agent {idx} has capacity {rational_detail(agent.capacity)}, "
+                    f"expected {rational_detail(shared)}"
+                )
+
+
+def _raise_first_bad_field(instance: Instance) -> None:
+    """Raise the error of the first agent with a field out of range."""
     for idx, agent in enumerate(instance.agents):
         if agent.position < 0:
             raise NegativePosition(
@@ -193,15 +263,6 @@ def validate_instance(instance: Instance) -> Instance:
             raise GroupIndexOutOfRange(
                 f"agent {idx} has group {agent.group}, expected [0, {instance.num_groups})"
             )
-    if instance.capacity_model is CapacityModel.COMMON and instance.agents:
-        shared = instance.agents[0].capacity
-        for idx, agent in enumerate(instance.agents):
-            if agent.capacity != shared:
-                raise CommonCapacityViolated(
-                    f"agent {idx} has capacity {rational_detail(agent.capacity)}, "
-                    f"expected {rational_detail(shared)}"
-                )
-    return instance
 
 
 @dataclass(frozen=True)
@@ -283,7 +344,7 @@ def improvement_report(instance: Instance, targets: TargetSet) -> ImprovementRep
     """Apply the behavior rule to every agent and aggregate welfare, on
     exact integers (:func:`_apply_rule`) until the returned fields."""
     levels = targets.levels
-    (rule,) = _apply_rule(instance.agents, levels)
+    (rule,) = _apply_rule(instance.agents, levels, grid=integer_grid(instance))
     scale, zero = rule.scale, Fraction(0)
     outcomes = []
     totals = [0] * instance.num_groups
@@ -322,27 +383,38 @@ class _RuleOutcome(NamedTuple):
 
 
 def _apply_rule(
-    agents: Sequence[Agent], *level_sets: Sequence[Fraction]
+    agents: Sequence[Agent],
+    *level_sets: Sequence[Fraction],
+    grid: Optional["IntegerGrid"] = None,
 ) -> tuple[_RuleOutcome, ...]:
     """The behavior rule for every agent under each of ``level_sets`` (each
     strictly increasing), as the rows of one :func:`_rule_kernel` call.
 
-    The agents and levels are scaled by one common denominator, the agents'
-    extended by the levels' own, because a level may lie off the grid.  Each
-    row indexes the sorted union of the sets, padded with the union's size.
+    ``grid`` is the agents' integer view, when the caller has one (an
+    instance's :func:`integer_grid`); otherwise it is built here.  Its scale
+    is extended only by the levels' own denominators, because a level may
+    lie off the grid.  Each row indexes the sorted union of the sets, padded
+    with the union's size.
     """
-    held = [a.position for a in agents]
-    caps = [a.capacity for a in agents]
-    scale = lcm(*(v.denominator for v in chain(held, caps, *level_sets)))
+    if grid is None:
+        grid = _grid(*_scale(agents))
+    scale = lcm(grid.scale, *(v.denominator for v in chain(*level_sets)))
+    factor = scale // grid.scale
     scaled = [_in_units(levels, scale) for levels in level_sets]
     union = sorted(set().union(*scaled))
     index = {v: i for i, v in enumerate(union)}
     width = max(map(len, scaled))
     sets = np.array([[index[v] for v in row] + [len(union)] * (width - len(row))
                      for row in scaled], dtype=np.intp)
-    grid = IntegerGrid(scale, _in_units(held, scale), _in_units(caps, scale),
-                       tuple(union))
-    place, gains = _rule_kernel(grid, sets)
+    positions, capacities = grid.positions, grid.capacities
+    if factor > 1:
+        positions = tuple(p * factor for p in positions)
+        capacities = tuple(c * factor for c in capacities)
+    # Every position and reach is a level of ``grid``, so its bound, scaled,
+    # still covers them; only the new levels' ends are added.
+    bound = max([grid.bound * factor, *map(abs, union[:1] + union[-1:])])
+    place, gains = _rule_kernel(
+        IntegerGrid(scale, positions, capacities, tuple(union), bound), sets)
     chosen = np.where(gains > 0, place, -1)
     return tuple(_RuleOutcome(scale, *row) for row in zip(chosen, gains))
 
@@ -353,39 +425,69 @@ INT64_SAFE = 1 << 60
 
 class IntegerGrid(NamedTuple):
     """An instance in whole units of ``1/scale``: exact Python ints, with
-    ``levels`` sorted."""
+    ``levels`` sorted.
+
+    ``bound`` is the largest magnitude of any level, position or reach, or
+    the sum of the positive capacities (a bound on any welfare total) when
+    that is larger.  It is computed once, by whoever builds the grid."""
 
     scale: int
     positions: tuple[int, ...]
     capacities: tuple[int, ...]
     levels: tuple[int, ...]
+    bound: int
 
     @property
     def fits_int64(self) -> bool:
-        """True when every level, position and reach, and the sum of the
-        positive capacities (a bound on any welfare total), stay below
-        ``INT64_SAFE`` in magnitude; a level off the grid may be negative."""
-        levels = self.levels  # sorted: its ends bound it
-        values = chain(levels[:1], levels[-1:], self.positions,
-                       map(add, self.positions, self.capacities))
-        return max(max(map(abs, values), default=0),
-                   sum(c for c in self.capacities if c > 0)) < INT64_SAFE
+        """True when ``bound`` stays below ``INT64_SAFE``."""
+        return self.bound < INT64_SAFE
 
 
 def _in_units(values: Iterable[Fraction], scale: int) -> tuple[int, ...]:
     """Each value times ``scale``, a multiple of its denominator."""
-    return tuple(v.numerator * (scale // v.denominator) for v in values)
+    return tuple(n * (scale // d) for n, d in map(Fraction.as_integer_ratio, values))
+
+
+def _grid(
+    scale: int, positions: tuple[int, ...], capacities: tuple[int, ...]
+) -> IntegerGrid:
+    """The grid whose levels are every position and reach.  Those are
+    levels, so the ends of the sorted levels bound them."""
+    levels = sorted({*positions, *map(add, positions, capacities)})
+    ends = max(map(abs, levels[:1] + levels[-1:]), default=0)
+    return IntegerGrid(scale, positions, capacities, tuple(levels),
+                       max(ends, sum(filter((0).__lt__, capacities))))
+
+
+def _scale(agents: Sequence[Agent]) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The agents' least common denominator, and their positions and
+    capacities times it."""
+    held = [a.position for a in agents]
+    caps = [a.capacity for a in agents]
+    scale = lcm(*{v.denominator for v in chain(held, caps)})
+    return scale, _in_units(held, scale), _in_units(caps, scale)
+
+
+def _scaled_fields(instance: Instance) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+    """The first part of the integer view, ``(scale, positions,
+    capacities)``: all that validation reads.  Kept on the instance."""
+    cache = vars(instance)
+    scaled = cache.get(_SCALED)
+    if scaled is None:
+        scaled = cache[_SCALED] = _scale(instance.agents)
+    return scaled
 
 
 def integer_grid(instance: Instance) -> IntegerGrid:
-    """Scale every position and capacity by their least common denominator;
-    ``levels`` is every scaled position and reach, sorted and deduplicated."""
-    held = [a.position for a in instance.agents]
-    caps = [a.capacity for a in instance.agents]
-    scale = lcm(*(v.denominator for v in chain(held, caps)))
-    positions, capacities = _in_units(held, scale), _in_units(caps, scale)
-    levels = {*positions, *map(add, positions, capacities)}
-    return IntegerGrid(scale, positions, capacities, tuple(sorted(levels)))
+    """The instance's integer view: every position and capacity scaled by
+    their least common denominator; ``levels`` is every scaled position and
+    reach, sorted and deduplicated.  Built on first use from the scaled
+    fields and kept on the instance."""
+    cache = vars(instance)
+    grid = cache.get(_GRID)
+    if grid is None:
+        grid = cache[_GRID] = _grid(*_scaled_fields(instance))
+    return grid
 
 
 def potential_targets(instance: Instance) -> TargetSet:
@@ -408,15 +510,20 @@ def batch_group_totals(
     whose rows are strictly increasing indices into ``grid.levels``.  Row
     ``b`` of the ``(B, g)`` result is the ``group_totals`` of
     :func:`improvement_report` for the levels of ``sets[b]``, times
-    ``grid.scale``: the :func:`_rule_kernel` gains summed by group.  Group
-    arrays past physical memory are refused before they are allocated.
+    ``grid.scale``: the :func:`_rule_kernel` gains summed by group, in one
+    scatter over the agents' group indices.  A result past physical memory
+    is refused before it is allocated.
     """
     g = instance.num_groups
-    check_memory(8 * (instance.size + len(sets)) * g, "the group-sum array",
-                 _physical_memory())
+    check_memory(8 * len(sets) * g, "the group-sum array", _physical_memory())
     gains = _rule_kernel(grid, sets)[1]
-    member = np.equal.outer([a.group for a in instance.agents], np.arange(g))
-    return gains @ member.astype(gains.dtype)
+    rows = len(sets)
+    # Flat cell r·g + group of agent a collects the gain of agent a in row r.
+    cells = np.fromiter((a.group for a in instance.agents), np.intp, instance.size)
+    cells = (np.arange(rows)[:, None] * g + cells).ravel()
+    totals = np.zeros(rows * g, dtype=gains.dtype)
+    np.add.at(totals, cells, gains.ravel())
+    return totals.reshape(rows, g)
 
 
 def _rule_kernel(grid: IntegerGrid, sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -19,11 +19,13 @@ the band, so it needs O(n·W) memory besides the bands, never an n × m mask.
 Once the band width is known, a table that cannot fit in physical memory is
 refused with ``SearchSpaceTooLarge`` before any band is allocated.
 
-Internally everything is integer: the build reads the instance scaled once
-by its least common denominator (:func:`goalpost.model.integer_grid`), grid
-levels included, so credits are exact and the only rationals formed are the
-``levels`` themselves.  There is one numpy build with two dtypes: int64
-when every sum is guarded against overflow, and ``object`` (exact Python
+Internally everything is integer: the build reads the instance's one
+integer view (:func:`goalpost.model.integer_grid`, scaled once by the least
+common denominator and cached on the instance), grid levels and int64
+guard included, so credits are exact.  The only rationals formed are the
+levels that are read, each once, when first read: a DP's witness reads k of
+them, not all m.  There is one numpy build with two dtypes: int64 when
+every sum is guarded against overflow, and ``object`` (exact Python
 integers) when values are too large for that.  Both are exact,
 deterministic, and read-only once built.
 """
@@ -50,7 +52,8 @@ class ContributionTable:
     """Immutable per-instance credit tables shared by every DP.
 
     Attributes:
-        levels: sorted candidate target levels (exact rationals).
+        levels: sorted candidate target levels (exact rationals), formed
+            from the integer grid as they are read (:meth:`level`).
         scale: common denominator used for the integer representation.
         engine: ``"numpy"`` for int64 arrays, ``"python"`` for exact
             object-dtype arrays; ``"auto"`` picks int64 whenever it is safe.
@@ -70,7 +73,8 @@ class ContributionTable:
         self.instance = instance
         grid = integer_grid(instance)
         self.scale: int = grid.scale
-        self.levels = tuple(Fraction(v, grid.scale) for v in grid.levels)
+        self._grid_levels = grid.levels
+        self._fractions: dict[int, Fraction] = {}
         int64_ok = grid.fits_int64
         if engine == "numpy" and not int64_ok:
             raise ValueError("instance values too large for the int64 engine")
@@ -127,7 +131,18 @@ class ContributionTable:
 
     @property
     def grid_size(self) -> int:
-        return len(self.levels)
+        return len(self._grid_levels)
+
+    def level(self, j: int) -> Fraction:
+        """Grid level ``j`` as a rational, formed on its first read."""
+        value = self._fractions.get(j)
+        if value is None:
+            value = self._fractions[j] = Fraction(self._grid_levels[j], self.scale)
+        return value
+
+    @property
+    def levels(self) -> tuple[Fraction, ...]:
+        return tuple(map(self.level, range(self.grid_size)))
 
     def _cell(self, band: np.ndarray, row0: np.ndarray, i: int, j: int):
         """Entry ``(i, j)`` of a banded table: 0 for ``j <= i``, the band up
@@ -159,7 +174,7 @@ class ContributionTable:
         """Levels of a DP index chain read up from level 0, dropping the
         targets that no agent moves to."""
         return TargetSet(tuple(
-            self.levels[j]
+            self.level(j)
             for prev, j in zip((0, *chain), chain)
             if self.credit_scaled(prev, j) > 0
         ))

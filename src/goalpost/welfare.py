@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import SearchSpaceTooLarge, _physical_memory, check_memory
-from .model import EMPTY_TARGETS, Instance, TargetSet, validate_instance
+from .model import EMPTY_TARGETS, Instance, TargetSet, integer_grid, validate_instance
 from .tables import ContributionTable
 
 
@@ -74,7 +74,8 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     reaches.  Returns each layer's root column ``[eta]`` and the choices:
     ``choices[b - 1][eta, i]`` is the lowest target layer ``b`` places."""
     m, w = table.grid_size, table.width
-    need = 8 * (n_lb + 1) * (k * m + 2 * (m + w))  # 8 bytes a cell
+    # A choice is a level index, 4 bytes as int32; a value cell takes 8.
+    need = (n_lb + 1) * (4 * k * m + 8 * 2 * (m + w))
     check_memory(need, "the welfare DP's choices and value layers", _physical_memory())
     cols = sliding_window_view(np.arange(1, m + w), w)[:m]  # band cell -> level
     past = np.minimum(np.arange(m) + w + 1, m)  # first level past each band
@@ -84,7 +85,7 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     choices = []
     for _ in range(k):
         cur = np.full_like(prev, -1)
-        pick = np.zeros((n_lb + 1, m), dtype=np.intp)
+        pick = np.zeros((n_lb + 1, m), dtype=np.int32)
         for eta in range(n_lb + 1):
             cur[eta, :m], pick[eta] = _best_targets(table, prev, eta, cols, past)
             if cur[eta].max() < 0:
@@ -198,12 +199,33 @@ def optimal_target_count_sweep(
         raise ValueError("k_max must be non-negative")
     validate_instance(instance)
     table = ContributionTable(instance, engine=engine)
-    entries = tuple(
-        BudgetPoint(k, solution.value, solution.targets)
-        for k, solution in enumerate(_solve_budgets(table, range(k_max + 1)))
-    )
+    # No chain holds more than m - 1 targets: later budgets repeat that one.
+    top = min(k_max, max(table.grid_size - 1, 0))
+    solutions = _solve_budgets(table, range(top + 1))
+    check_memory(_curve_bytes(instance, top, k_max), "the sweep's curve",
+                 _physical_memory())
+    best = [(solution.value, solution.targets) for solution in solutions]
+    entries = tuple(BudgetPoint(k, *best[min(k, top)]) for k in range(k_max + 1))
     min_k = next(e.k for e in entries if e.value == entries[-1].value)
     return BudgetCurve(entries, min_k)
+
+
+# A conservative size of one curve entry as it is built and written: its
+# BudgetPoint and, on the command line, its payload dict and JSON text.
+# Measured: about 1.3 KB an entry plus 200 B a target of 11 characters.
+_ENTRY_BYTES, _TARGET_BYTES, _BYTES_PER_CHAR = 2048, 256, 16
+
+
+def _curve_bytes(instance: Instance, top: int, k_max: int) -> int:
+    """Bytes of a curve up to ``k_max`` whose entry ``k`` holds at most
+    ``min(k, top)`` targets.  No level or value is longer as text than
+    ``chars``: the digits of the grid's bound, a slash and the digits of its
+    scale."""
+    grid = integer_grid(instance)
+    chars = sum(v.bit_length() * 31 // 100 + 1 for v in (grid.bound, grid.scale)) + 1
+    targets = top * (top + 1) // 2 + (k_max - top) * top
+    return ((_ENTRY_BYTES + _BYTES_PER_CHAR * chars) * (k_max + 1)
+            + (_TARGET_BYTES + _BYTES_PER_CHAR * chars) * targets)
 
 
 def max_total_with_min_improvers(

@@ -649,3 +649,20 @@ def test_a_welfare_dp_past_physical_memory_is_an_envelope(capsys, monkeypatch):
         assert "the welfare DP's choices and value layers" in payload["detail"], argv
     monkeypatch.setattr(welfare, "_physical_memory", lambda: None)
     assert run(capsys, "solve-lb", "--instance", CLUSTER, "--k", "2", "--n-lb", "1")[0] == 0
+
+
+def test_a_sweep_whose_curve_cannot_fit_is_refused(capsys, monkeypatch, tmp_path):
+    from goalpost import welfare
+
+    # Room for the DP on this 4-agent file, not for a million curve entries.
+    monkeypatch.setattr(welfare, "_physical_memory", lambda: 10**6)
+    out = tmp_path / "curve.json"
+    code, payload = run_json(capsys, "sweep", "--instance", CLUSTER, "--k", "1000000",
+                             "--out", str(out))
+    assert code == 1
+    assert payload["error"] == "SearchSpaceTooLarge"
+    assert "the sweep's curve" in payload["detail"]
+    assert not out.exists()
+    code, payload = run_json(capsys, "sweep", "--instance", CLUSTER, "--k", "50")
+    assert code == 0
+    assert len(payload["curve"]) == 51
