@@ -56,16 +56,26 @@ class FptasParams:
     def for_instance(
         cls, instance: Instance, k: int, epsilon: RationalLike
     ) -> "FptasParams":
-        eps = rational(epsilon)
-        if not 0 < eps < 1:
-            raise EpsilonOutOfRange(
-                f"epsilon must be in (0, 1), got {rational_detail(eps)}")
+        eps, caps = _checked(instance, epsilon)
         g = instance.num_groups
-        # Two g-long tuples, 8 bytes a slot: refuse a count they cannot fit.
-        check_memory(16 * g, "the per-group step table", _physical_memory())
-        caps = group_capacities(instance)
         steps = tuple(eps * cap / (16 * k * g**3) for cap in caps)
         return cls(eps, steps)
+
+
+def _checked(
+    instance: Instance, epsilon: RationalLike
+) -> tuple[Fraction, tuple[Fraction, ...]]:
+    """``epsilon`` and the per-group capacities, checked in this order:
+    epsilon in (0, 1), a step table that fits in memory, capacities uniform
+    within each group."""
+    eps = rational(epsilon)
+    if not 0 < eps < 1:
+        raise EpsilonOutOfRange(
+            f"epsilon must be in (0, 1), got {rational_detail(eps)}")
+    # Two g-long tuples, 8 bytes a slot: refuse a count they cannot fit.
+    check_memory(16 * instance.num_groups, "the per-group step table",
+                 _physical_memory())
+    return eps, group_capacities(instance)
 
 
 def group_capacities(instance: Instance) -> tuple[Fraction, ...]:
@@ -83,7 +93,8 @@ def group_capacities(instance: Instance) -> tuple[Fraction, ...]:
                 f"group {agent.group} mixes capacities {rational_detail(seen)} and "
                 f"{rational_detail(agent.capacity)}"
             )
-    return tuple(c if c is not None else Fraction(0) for c in caps)
+    zero = Fraction(0)
+    return tuple(zero if c is None else c for c in caps)
 
 
 @dataclass(frozen=True)
@@ -114,12 +125,14 @@ def fptas_max_min(
     if k < 1:
         raise ValueError("k must be at least 1")
     validate_instance(instance)
-    params = FptasParams.for_instance(instance, k, epsilon)
     if k < instance.num_groups:
+        # The exact branch reads no rounding step, so it forms none.
+        _checked(instance, epsilon)
         value, targets = max_min_witness(instance, k, max_subsets)
         welfare = improvement_report(instance, targets).group_totals
         return MaxMinApproximation(value, targets, welfare, 0)
 
+    params = FptasParams.for_instance(instance, k, epsilon)
     table = ContributionTable(instance)
     # A step is step * scale credit units.  A zero step belongs to a group
     # whose credits are all 0; it counts raw units to avoid dividing by 0.

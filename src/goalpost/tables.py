@@ -14,10 +14,20 @@ the most levels any single agent can climb.  Every entry with ``j > i + W``
 therefore equals its row-0 entry ``(0, j)``.  The table stores row 0 in full
 plus an ``(m, W)`` band per quantity, O(m·W) cells instead of O(m²); wide
 capacities widen the band, up to ``W = m - 1`` when one agent spans the grid.
-The build scatters each agent's reachable levels and takes prefix sums along
-the band, so it needs O(n·W) memory besides the bands, never an n × m mask.
-Once the band width is known, a table that cannot fit in physical memory is
-refused with ``SearchSpaceTooLarge`` before any band is allocated.
+
+The build scatters each agent's reachable levels once, into ``(m, W+1)``
+column tables, one for head counts and one per group: cell ``[j, t]`` holds
+the agents at level ``j - 1 - t`` that reach level ``j``.  Prefix sums along
+``t`` give the band cells, and the sum at offset ``W``, past every agent's
+span, is row 0, so row 0 needs no scatter of its own.  The scatter's entry
+arrays are freed before any band is allocated, and each column table as
+soon as its band and row 0 are copied out; with one group, ``credits`` and
+``credit0`` are views of group 0's arrays, not a summed copy.  The build's
+peak is therefore the ``g + 1`` column tables plus the larger of the entry
+arrays and the group band, about ``3·m·(W+1)`` words for one group, and
+never an n × m mask.  Once the band width is known, a table whose build
+cannot fit in physical memory is refused with ``SearchSpaceTooLarge``
+before any of it is allocated.
 
 Internally everything is integer: the build reads the instance's one
 integer view (:func:`goalpost.model.integer_grid`, scaled once by the least
@@ -32,6 +42,7 @@ deterministic, and read-only once built.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from typing import Sequence
 
@@ -41,11 +52,33 @@ from .errors import _physical_memory, check_memory
 from .model import Instance, IntegerGrid, TargetSet, integer_grid
 
 
-def _check_fits(g: int, m: int, w: int, entries: int) -> None:
-    """Refuse a table whose bands, row 0 and scatter entries (8 bytes a cell)
-    exceed physical memory, before any of them is allocated."""
-    need = 8 * ((g + 2) * m * w + (g + 2) * m + entries)
+def _check_fits(grid: IntegerGrid, g: int, w: int, entries: int, dtype) -> None:
+    """Refuse a table that exceeds physical memory, before any of it is
+    allocated.  The build's peak holds the ``g + 1`` column tables of
+    ``m·(W+1)`` cells, and with them either the scatter's entry arrays (at
+    most six words an entry, while they are formed) or, when larger, the
+    group band and rows 0 copied out of them; besides, the levels, five
+    arrays per agent and 64 KiB for the array objects themselves.  A cell is
+    a word, and for ``object`` also the int it points to, no larger than the
+    grid's bound."""
+    m, n = len(grid.levels), len(grid.positions)
+    cell = 8 if dtype is np.int64 else 8 + sys.getsizeof(grid.bound)
+    columns = (g + 1) * m * (w + 1)
+    need = cell * (columns + max(6 * entries, g * m * (w + 1)) + m + 5 * n) + 2**16
     check_memory(need, "the credit table", _physical_memory())
+
+
+def _band(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ``(..., m, W)`` band and the row 0 of a ``(..., m, W+1)`` column
+    table, summed in place along its last axis: band cell ``[i, d]`` is
+    column ``j = i + 1 + d`` at offset ``d``, and row 0 is offset ``W``."""
+    np.cumsum(column, axis=-1, out=column)
+    *lead, m, w = column.shape
+    w -= 1
+    band = np.zeros((*lead, m, w), dtype=column.dtype)
+    for d in range(w):
+        band[..., : m - 1 - d, d] = column[..., d + 1 :, d]
+    return band, column[..., w].copy()
 
 
 class ContributionTable:
@@ -64,7 +97,8 @@ class ContributionTable:
             lowest one at or above level ``i`` (0 past the top of the grid).
         group_credits: ``(g, m, W)`` band of the scaled credit split by group.
         credit0, count0, group_credit0: row 0 (``i = 0``) of each table, one
-            entry per level ``j``.
+            entry per level ``j``.  With one group, ``credits`` and
+            ``credit0`` are views of group 0's band and row 0.
     """
 
     def __init__(self, instance: Instance, engine: str = "auto"):
@@ -95,34 +129,41 @@ class ContributionTable:
         low = np.searchsorted(tps, p)
         span = np.searchsorted(tps, r) - low
         self.width = w = int(span.max(initial=0))
-        _check_fits(g, m, w, int(span.sum()))
+        _check_fits(grid, g, w, int(span.sum()), dtype)
         # After the check: a group label past intp only comes with a huge g.
         gi = np.asarray([a.group for a in self.instance.agents], dtype=np.intp)
-        # One entry per agent and reachable level j, at offset t = j - low - 1.
+        # One entry per agent and reachable level j, at offset t = j - low - 1:
+        # flat cell j·(W+1) + t of an (m, W+1) column table.
         who = np.repeat(np.arange(len(p)), span)
         t = np.arange(len(who)) - np.repeat(np.cumsum(span) - span, span)
         j = low[who] + 1 + t
+        at = j * (w + 1) + t
+        del t
         gains = tps[j] - p[who]
+        group = gi[who]
+        del who, j
         # By column: [j, t] sums the agents at level j - 1 - t that reach j, so
-        # the prefix sum over t covers every agent from level j - 1 - t up.
-        count = np.zeros((m, w), dtype=np.int64)
-        np.add.at(count, (j, t), 1)
-        group_credit = np.zeros((g, m, w), dtype=dtype)
-        np.add.at(group_credit, (gi[who], j, t), gains)
-        np.cumsum(count, axis=1, out=count)
-        np.cumsum(group_credit, axis=2, out=group_credit)
-        # By row: band cell [i, d] is column j = i + 1 + d at offset d.
-        self.counts = np.zeros((m, w), dtype=np.int64)
-        self.group_credits = np.zeros((g, m, w), dtype=dtype)
-        for d in range(w):
-            self.counts[: m - 1 - d, d] = count[d + 1 :, d]
-            self.group_credits[:, : m - 1 - d, d] = group_credit[:, d + 1 :, d]
-        self.credits = self.group_credits.sum(axis=0)
-        # Row 0 counts every agent below level j that reaches it.
-        self.count0 = np.bincount(j, minlength=m).astype(np.int64)
-        self.group_credit0 = np.zeros((g, m), dtype=dtype)
-        np.add.at(self.group_credit0, (gi[who], j), gains)
-        self.credit0 = self.group_credit0.sum(axis=0)
+        # the prefix sum over t covers every agent from level j - 1 - t up.  No
+        # span reaches offset W, so the sum there covers every agent below
+        # level j that reaches it: row 0.
+        count = np.zeros((m, w + 1), dtype=np.int64)
+        np.add.at(count.reshape(-1), at, 1)
+        at += group * (m * (w + 1))
+        del group
+        group_credit = np.zeros((g, m, w + 1), dtype=dtype)
+        np.add.at(group_credit.reshape(-1), at, gains)
+        # Each array goes once read: the entries before any band is
+        # allocated, each column table once its band and row 0 are out.
+        del at, gains
+        self.counts, self.count0 = _band(count)
+        del count
+        self.group_credits, self.group_credit0 = _band(group_credit)
+        del group_credit
+        if g == 1:
+            self.credits, self.credit0 = self.group_credits[0], self.group_credit0[0]
+        else:
+            self.credits = self.group_credits.sum(axis=0)
+            self.credit0 = self.group_credit0.sum(axis=0)
         for table in (self.credits, self.counts, self.group_credits,
                       self.credit0, self.count0, self.group_credit0):
             table.flags.writeable = False

@@ -12,7 +12,8 @@ from goalpost import (
     improvement_report,
     max_min_solution,
 )
-from goalpost.errors import EpsilonOutOfRange, GroupCapacityNonUniform
+from goalpost import fptas
+from goalpost.errors import EpsilonOutOfRange, GroupCapacityNonUniform, SearchSpaceTooLarge
 from helpers import random_group_capacity_instance
 
 TWO_GROUPS = Instance((Agent(0, 2, 0), Agent(1, 2, 1)), 2, CapacityModel.COMMON)
@@ -45,6 +46,33 @@ def test_rejects_mixed_capacities_within_a_group():
     inst = Instance((Agent(0, 1, 0), Agent(1, 2, 0)), 1)
     with pytest.raises(GroupCapacityNonUniform):
         fptas_max_min(inst, 1, F(1, 2))
+
+
+def test_the_exact_branch_forms_no_rounding_step(monkeypatch):
+    formed = []
+    for_instance = FptasParams.for_instance.__func__
+
+    def spy(cls, *args):
+        formed.append(args)
+        return for_instance(cls, *args)
+
+    monkeypatch.setattr(FptasParams, "for_instance", classmethod(spy))
+    fptas_max_min(TWO_GROUPS, 1, F(1, 2))
+    assert formed == []
+    fptas_max_min(TWO_GROUPS, 2, F(1, 2))
+    assert len(formed) == 1
+
+
+def test_the_exact_branch_checks_epsilon_then_memory_then_capacities(monkeypatch):
+    mixed = Instance((Agent(0, 1, 0), Agent(1, 2, 0)), 2)
+    monkeypatch.setattr(fptas, "_physical_memory", lambda: 16)
+    with pytest.raises(EpsilonOutOfRange):
+        fptas_max_min(mixed, 1, 2)
+    with pytest.raises(SearchSpaceTooLarge, match="step table"):
+        fptas_max_min(mixed, 1, F(1, 2))
+    monkeypatch.setattr(fptas, "_physical_memory", lambda: None)
+    with pytest.raises(GroupCapacityNonUniform):
+        fptas_max_min(mixed, 1, F(1, 2))
 
 
 def test_zero_capacity_group_is_carried_exactly():

@@ -21,7 +21,7 @@ from goalpost import (
     iter_candidate_sets,
     potential_targets,
 )
-from goalpost import oracle
+from goalpost import model, oracle
 from goalpost.errors import ParameterOutOfRange, SearchSpaceTooLarge
 from goalpost.model import integer_grid
 from helpers import random_integral_instance
@@ -201,3 +201,26 @@ def test_oracle_matches_a_per_set_report_loop(inst, k):
     )
     frontier = brute_force_pareto(inst, k)
     assert [(p.welfare, p.targets) for p in frontier.points] == expected
+
+
+@st.composite
+def many_group_instances(draw):
+    """A few agents over up to 10^5 groups, so most groups are empty."""
+    g = draw(st.integers(1, 10**5))
+    members = draw(st.lists(
+        st.tuples(st.integers(0, 8), st.integers(0, 3), st.integers(0, g - 1)),
+        max_size=4,
+    ))
+    return Instance(tuple(Agent(p, c, gi) for p, c, gi in members), g)
+
+
+@given(many_group_instances(), st.integers(0, 2), st.sampled_from([64, 10**5, 10**7]))
+@settings(max_examples=40, deadline=None)
+def test_the_oracle_answers_or_refuses_many_groups_within_memory(inst, k, have):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(model, "_physical_memory", lambda: have)
+        for search in (brute_force_optimum, oracle.max_min_witness, brute_force_pareto):
+            try:
+                search(inst, k)
+            except SearchSpaceTooLarge:
+                pass

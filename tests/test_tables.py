@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction as F
 from math import lcm
 
@@ -146,6 +147,29 @@ def test_table_cells_grow_with_the_band_not_the_grid_squared():
     cells = sum(v.size for v in vars(table).values() if isinstance(v, np.ndarray))
     assert cells <= m * (w + 1) * (g + 2)
     assert 20 * (w + 1) < m  # the band is narrow here, so the bound is far below m^2
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_the_build_peak_stays_within_its_counted_need(monkeypatch, g):
+    rng = random.Random(4000 + g)
+    inst = Instance(tuple(
+        Agent(rng.randint(0, 10**6), rng.randint(0, 10**4), rng.randrange(g))
+        for _ in range(4000)
+    ), g)
+    integer_grid(inst)  # the instance's own view, kept apart from the build
+    needs = []
+    monkeypatch.setattr(tables, "check_memory", lambda need, *_: needs.append(need))
+    tracemalloc.start()
+    try:
+        table = ContributionTable(inst, engine="numpy")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(needs) == 1 and peak <= needs[0]
+    # The g + 1 column tables and the g + 1 bands copied out of them are
+    # never all held at once.
+    m, w = table.grid_size, table.width
+    assert peak < 2 * (g + 1) * 8 * m * (w + 1)
 
 
 # Large primes make the common denominator, and with it the scaled values,
