@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io as _io
 import json
 import sys
@@ -220,6 +221,7 @@ COMMANDS = {
 CSV_NAMES = sorted(name for name, command in COMMANDS.items() if command.csv)
 
 
+@functools.cache  # one parser per process: building it costs more than a parse
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="goalpost",

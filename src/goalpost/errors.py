@@ -4,14 +4,18 @@ Every error carries a stable ``code`` (the class name) that the CLI emits in
 its JSON error envelope, so scripts can match on it without parsing prose.
 Building a detail must not raise: a caller's rational is written through
 :func:`rational_detail`, and :func:`check_memory` words every refusal of an
-allocation past physical memory.
+allocation past physical memory.  An allocation can still fail below
+physical memory, under an address-space limit: each stage that allocates in
+proportion to its input is wrapped in :func:`refuses_exhaustion`, which
+turns that ``MemoryError`` into the same ``SearchSpaceTooLarge``.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 
 class GoalpostError(Exception):
@@ -111,3 +115,22 @@ def check_memory(need: int, what: str, have: Optional[int]) -> None:
         raise SearchSpaceTooLarge(
             f"{what} needs {need} bytes, more than the {have} bytes of physical memory"
         )
+
+
+def refuses_exhaustion(what: str) -> Callable[[Callable], Callable]:
+    """Decorate a stage so that a ``MemoryError`` from a call becomes
+    ``SearchSpaceTooLarge("<what> ran out of memory")``."""
+
+    def guard(stage: Callable) -> Callable:
+        @functools.wraps(stage)
+        def guarded(*args, **kwargs):
+            try:
+                return stage(*args, **kwargs)
+            except MemoryError:
+                pass
+            # Raised outside the handler, so the call's frames are released first.
+            raise SearchSpaceTooLarge(f"{what} ran out of memory")
+
+        return guarded
+
+    return guard

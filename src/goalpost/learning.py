@@ -19,7 +19,9 @@ is one outcome, and the integer batch kernel
 (:func:`goalpost.model.batch_group_totals`, through the oracle's subset
 enumeration) gives a sets × outcomes matrix of scaled gains: int64 when
 every gap numerator below stays under 2**60, exact ``object`` integers
-otherwise.  A trial draws its sample ``DRAW_CHUNK`` values at a time and
+otherwise.  The sets are counted first, and a matrix that cannot fit in
+physical memory is refused with ``SearchSpaceTooLarge`` before any set is
+evaluated.  A trial draws its sample ``DRAW_CHUNK`` values at a time and
 adds up the chunks' per-outcome ``np.bincount`` tallies, so its memory does
 not grow with the sample size (the generator's stream does not depend on how
 the draws are split).  It gets every set's per-group gap numerator from one
@@ -39,6 +41,7 @@ from typing import Callable, Iterable, Optional, Sequence, Union
 import numpy as np
 
 from .errors import EmptySample, ParameterOutOfRange, rational_detail
+from .errors import _physical_memory, check_memory
 from .model import (
     INT64_SAFE,
     Agent,
@@ -51,7 +54,7 @@ from .model import (
     rational,
     rational_str,
 )
-from .oracle import evaluated_subsets
+from .oracle import evaluated_subsets, subset_count
 
 
 @dataclass(frozen=True)
@@ -315,6 +318,10 @@ def deviation_experiment(
         tuple(map(Agent, positions, capacities, range(num_outcomes))), num_outcomes
     )
     grid = integer_grid(outcomes)
+    # The chunks' gains and their concatenated copy: two words a cell.
+    subsets = subset_count(len(grid.levels), k, max_subsets, min_size=1)
+    check_memory(16 * subsets * num_outcomes, "the candidate sets' gains matrix",
+                 _physical_memory())
     gains = np.concatenate([
         totals for _, totals in
         evaluated_subsets(outcomes, grid, k, max_subsets, min_size=1)

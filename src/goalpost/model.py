@@ -14,10 +14,9 @@ candidate levels (every position and reach) sorted, and the int64 guard
 :attr:`IntegerGrid.fits_int64` decided once.  The view and a passed
 :func:`validate_instance` are computed on first use and kept on the
 instance itself, so they live exactly as long as it does.  Validation reads
-the scaled positions and capacities, not the ``Fraction`` fields; the
-sorted levels are added when the view is first asked for.
-:meth:`Instance.isolate_group` derives a group's scaled fields and validity
-from its parent's.  :func:`potential_targets` is the view's rational form.
+the view's scaled positions and capacities, not the ``Fraction`` fields.
+:meth:`Instance.isolate_group` derives a group's view and validity from its
+parent's.  :func:`potential_targets` is the view's rational form.
 
 One integer kernel, :func:`_rule_kernel`, applies the rule in bulk: one
 ``searchsorted`` finds every agent's target under every row of level
@@ -52,6 +51,7 @@ from .errors import (
     _physical_memory,
     check_memory,
     rational_detail,
+    refuses_exhaustion,
 )
 
 RationalLike = Union[Fraction, int, str]
@@ -102,9 +102,9 @@ def rational_str(value: Fraction) -> str:
         ) from None
 
 
-# The keys under which an instance keeps, in its own __dict__, its scaled
-# fields (the view's first part), its integer view and a passed validation.
-_SCALED, _GRID, _VALID = "_scaled", "_grid", "_valid"
+# The keys under which an instance keeps, in its own __dict__, its integer
+# view and a passed validation.
+_GRID, _VALID = "_grid", "_valid"
 
 
 class CapacityModel(Enum):
@@ -193,11 +193,11 @@ class Instance:
     def isolate_group(self, group: int) -> "Instance":
         """Sub-instance containing one group's agents, relabeled to group 0.
 
-        Its integer view starts from the parent's scaled rows of those
+        Its integer view is built from the parent's scaled rows of those
         agents, brought to their own least common denominator, and it counts
         as validated when the parent does: a valid instance's groups are
         valid instances."""
-        scale, held, caps = _scaled_fields(self)
+        scale, held, caps, _, _ = integer_grid(self)
         rows = [i for i, a in enumerate(self.agents) if a.group == group]
         agents = self.agents
         sub = Instance(tuple(Agent(agents[i].position, agents[i].capacity, 0)
@@ -207,8 +207,8 @@ class Instance:
         # A member's denominator is scale / gcd(scale, its scaled value), so
         # the members' least common multiple is scale / gcd of them all.
         common = gcd(scale, *positions, *capacities)
-        vars(sub)[_SCALED] = (scale // common, tuple(p // common for p in positions),
-                              tuple(c // common for c in capacities))
+        vars(sub)[_GRID] = _grid(scale // common, tuple(p // common for p in positions),
+                                 tuple(c // common for c in capacities))
         if _VALID in vars(self):
             vars(sub)[_VALID] = True
         return sub
@@ -232,15 +232,14 @@ def validate_instance(instance: Instance) -> Instance:
 def _check_fields(instance: Instance) -> None:
     if instance.num_groups < 1:
         raise GroupIndexOutOfRange("num_groups must be at least 1")
-    _, positions, capacities = _scaled_fields(instance)
+    grid = integer_grid(instance)
     groups = [a.group for a in instance.agents]
     # The scale is positive, so a scaled value has its value's sign.
-    if not (min(positions, default=0) >= 0 and min(capacities, default=0) >= 0
+    if not (min(grid.positions, default=0) >= 0 and min(grid.capacities, default=0) >= 0
             and min(groups, default=0) >= 0
             and max(groups, default=0) < instance.num_groups):
         _raise_first_bad_field(instance)
-    if (instance.capacity_model is CapacityModel.COMMON and capacities
-            and capacities.count(capacities[0]) != len(capacities)):
+    if instance.capacity_model is CapacityModel.COMMON and len(set(grid.capacities)) > 1:
         shared = instance.agents[0].capacity
         for idx, agent in enumerate(instance.agents):
             if agent.capacity != shared:
@@ -468,25 +467,15 @@ def _scale(agents: Sequence[Agent]) -> tuple[int, tuple[int, ...], tuple[int, ..
     return scale, _in_units(held, scale), _in_units(caps, scale)
 
 
-def _scaled_fields(instance: Instance) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
-    """The first part of the integer view, ``(scale, positions,
-    capacities)``: all that validation reads.  Kept on the instance."""
-    cache = vars(instance)
-    scaled = cache.get(_SCALED)
-    if scaled is None:
-        scaled = cache[_SCALED] = _scale(instance.agents)
-    return scaled
-
-
 def integer_grid(instance: Instance) -> IntegerGrid:
     """The instance's integer view: every position and capacity scaled by
     their least common denominator; ``levels`` is every scaled position and
-    reach, sorted and deduplicated.  Built on first use from the scaled
-    fields and kept on the instance."""
+    reach, sorted and deduplicated.  Built on first use and kept on the
+    instance."""
     cache = vars(instance)
     grid = cache.get(_GRID)
     if grid is None:
-        grid = cache[_GRID] = _grid(*_scaled_fields(instance))
+        grid = cache[_GRID] = _grid(*_scale(instance.agents))
     return grid
 
 
@@ -501,6 +490,7 @@ def potential_targets(instance: Instance) -> TargetSet:
     return TargetSet(tuple(Fraction(v, grid.scale) for v in grid.levels))
 
 
+@refuses_exhaustion("the batch kernel")
 def batch_group_totals(
     instance: Instance, grid: IntegerGrid, sets: np.ndarray
 ) -> np.ndarray:
@@ -512,7 +502,7 @@ def batch_group_totals(
     :func:`improvement_report` for the levels of ``sets[b]``, times
     ``grid.scale``: the :func:`_rule_kernel` gains summed by group, in one
     scatter over the agents' group indices.  A result past physical memory
-    is refused before it is allocated.
+    is refused before it is allocated, and a failed allocation as well.
     """
     g = instance.num_groups
     check_memory(8 * len(sets) * g, "the group-sum array", _physical_memory())

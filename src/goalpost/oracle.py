@@ -61,6 +61,18 @@ def subset_cap(override: Optional[int] = None) -> int:
 _CHUNK_CELLS = 1 << 13
 
 
+def subset_count(m: int, k: int, max_subsets: Optional[int], min_size: int) -> int:
+    """How many subsets of ``range(m)`` have size min_size..k; refuses when
+    there are more than the cap."""
+    total = sum(comb(m, size) for size in range(min_size, min(k, m) + 1))
+    cap = subset_cap(max_subsets)
+    if total > cap:
+        raise SearchSpaceTooLarge(
+            f"{total} candidate subsets exceed the cap of {cap}"
+        )
+    return total
+
+
 def _index_chunks(
     m: int, k: int, rows: int, max_subsets: Optional[int], min_size: int
 ) -> Iterator[np.ndarray]:
@@ -68,14 +80,8 @@ def _index_chunks(
     lexicographic within a size, as ``(rows, size)`` index arrays (the last
     chunk of a size may be shorter).  Refuses before yielding anything when
     there are more subsets than the cap."""
-    sizes = range(min_size, min(k, m) + 1)
-    total = sum(comb(m, size) for size in sizes)
-    cap = subset_cap(max_subsets)
-    if total > cap:
-        raise SearchSpaceTooLarge(
-            f"{total} candidate subsets exceed the cap of {cap}"
-        )
-    for size in sizes:
+    subset_count(m, k, max_subsets, min_size)
+    for size in range(min_size, min(k, m) + 1):
         subsets = combinations(range(m), size)
         while batch := list(islice(subsets, rows)):
             flat = np.fromiter(chain.from_iterable(batch), np.intp, len(batch) * size)

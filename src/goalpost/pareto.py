@@ -44,7 +44,7 @@ from math import inf
 from operator import add, ge, itemgetter
 from typing import Callable, Mapping, Optional
 
-from .errors import NonIntegralInstance, SearchSpaceTooLarge
+from .errors import NonIntegralInstance, refuses_exhaustion
 from .errors import _physical_memory, check_memory
 from .model import Instance, TargetSet, validate_instance
 from .tables import ContributionTable
@@ -155,6 +155,7 @@ Link = Optional[tuple[int, int]]
 State = list[tuple[tuple[int, ...], Link]]
 
 
+@refuses_exhaustion("the frontier DP")
 def frontier_dp(
     table: ContributionTable, k: int, gain: Callable[[int, int], tuple[int, ...]]
 ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
@@ -176,15 +177,6 @@ def frontier_dp(
     would exceed physical memory, or when an allocation fails anyway (under
     an address-space limit below physical memory).
     """
-    try:
-        return _frontier_dp(table, k, gain)
-    except MemoryError:
-        pass
-    # Raised outside the handler, so the DP's states are already released.
-    raise SearchSpaceTooLarge("the frontier DP ran out of memory")
-
-
-def _frontier_dp(table: ContributionTable, k: int, gain: Callable) -> tuple[dict, int]:
     m, w, g = table.grid_size, table.width, table.instance.num_groups
     have = _physical_memory()
 

@@ -27,7 +27,8 @@ peak is therefore the ``g + 1`` column tables plus the larger of the entry
 arrays and the group band, about ``3·m·(W+1)`` words for one group, and
 never an n × m mask.  Once the band width is known, a table whose build
 cannot fit in physical memory is refused with ``SearchSpaceTooLarge``
-before any of it is allocated.
+before any of it is allocated, and so is a build whose allocation fails
+anyway.
 
 Internally everything is integer: the build reads the instance's one
 integer view (:func:`goalpost.model.integer_grid`, scaled once by the least
@@ -48,7 +49,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import _physical_memory, check_memory
+from .errors import _physical_memory, check_memory, refuses_exhaustion
 from .model import Instance, IntegerGrid, TargetSet, integer_grid
 
 
@@ -119,6 +120,7 @@ class ContributionTable:
 
     # -- construction ------------------------------------------------------
 
+    @refuses_exhaustion("the credit table")
     def _build(self, grid: IntegerGrid, dtype) -> None:
         m, g = len(grid.levels), self.instance.num_groups
         tps = np.asarray(grid.levels, dtype=dtype)

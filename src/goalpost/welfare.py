@@ -40,7 +40,7 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import SearchSpaceTooLarge, _physical_memory, check_memory
+from .errors import _physical_memory, check_memory, refuses_exhaustion
 from .model import EMPTY_TARGETS, Instance, TargetSet, integer_grid, validate_instance
 from .tables import ContributionTable
 
@@ -66,6 +66,7 @@ class BudgetCurve:
     min_k_for_max: int
 
 
+@refuses_exhaustion("the welfare DP")
 def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     """Budget layers up to k, one value layer held at a time.  A layer's
     ``[eta, i]`` is the best scaled improvement above level ``i`` when at
@@ -154,13 +155,8 @@ def _solve_budgets(
         return [nobody for _ in budgets]
     clamped = [min(k, m - 1) for k in budgets]
     top = max(clamped, default=0)
-    try:
-        # At n_lb = 0 the two-argument form, which a test stands in for.
-        roots, choices = _dp_rows(table, top, n_lb) if n_lb else _dp_rows(table, top)
-    except MemoryError:
-        roots = None
-    if roots is None:  # raised outside the handler, so the layers are freed first
-        raise SearchSpaceTooLarge("the welfare DP ran out of memory")
+    # At n_lb = 0 the two-argument form, which a test stands in for.
+    roots, choices = _dp_rows(table, top, n_lb) if n_lb else _dp_rows(table, top)
     solved = {
         b: DpSolution(table.to_fraction(int(roots[b][n_lb])),
                       _reconstruct(table, choices, b, n_lb))

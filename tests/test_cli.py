@@ -666,3 +666,22 @@ def test_a_sweep_whose_curve_cannot_fit_is_refused(capsys, monkeypatch, tmp_path
     code, payload = run_json(capsys, "sweep", "--instance", CLUSTER, "--k", "50")
     assert code == 0
     assert len(payload["curve"]) == 51
+
+
+def test_the_parser_is_built_once_for_every_call(capsys, monkeypatch):
+    import argparse
+
+    from goalpost import cli
+
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def spy(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+    for _ in range(2):
+        assert run(capsys, "solve", "--instance", CLUSTER, "--k", "1")[0] == 0
+    # None when an earlier call already built it, else every subcommand once.
+    assert built in ([], list(cli.COMMANDS))

@@ -318,3 +318,26 @@ def test_deviation_experiment_matches_a_per_set_reference(
     assert (report.n, report.success_fraction, report.worst_deviation) == (
         n, success_fraction, worst
     )
+
+
+def test_a_gains_matrix_past_physical_memory_is_refused_before_any_set(monkeypatch):
+    from goalpost import oracle
+    from goalpost.errors import SearchSpaceTooLarge
+
+    kernel_calls = []
+    batch_group_totals = oracle.batch_group_totals
+
+    def spy(*args):
+        kernel_calls.append(args)
+        return batch_group_totals(*args)
+
+    monkeypatch.setattr(oracle, "batch_group_totals", spy)
+    dist = PositionDistribution(tuple((F(p), F(1, 50)) for p in range(50)), F(1))
+    # 51 one-level sets over 50 outcomes: two 8-byte words a cell.
+    monkeypatch.setattr(learning, "_physical_memory", lambda: 16 * 51 * 50 - 1)
+    with pytest.raises(SearchSpaceTooLarge, match="gains matrix needs 40800 bytes"):
+        deviation_experiment(dist, 1, F(1, 2), F(1, 2), 1, 0)
+    assert kernel_calls == []
+    monkeypatch.setattr(learning, "_physical_memory", lambda: 16 * 51 * 50)
+    deviation_experiment(dist, 1, F(1, 2), F(1, 2), 1, 0)
+    assert kernel_calls
