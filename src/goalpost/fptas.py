@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import floordiv, mul
 from typing import Optional
 
 from .errors import (
@@ -137,9 +138,11 @@ def fptas_max_min(
     # A step is step * scale credit units.  A zero step belongs to a group
     # whose credits are all 0; it counts raw units to avoid dividing by 0.
     units = tuple(step * table.scale if step else 1 for step in params.steps)
+    # d // (p / q) is d * q // p: the same floor, with no Fraction formed.
+    ps, qs = zip(*(u.as_integer_ratio() for u in units))
 
     def quantized(i: int, j: int) -> tuple[int, ...]:
-        return tuple(d // u for d, u in zip(table.group_credit_scaled(i, j), units))
+        return tuple(map(floordiv, map(mul, table.group_credit_scaled(i, j), qs), ps))
 
     root, peak = frontier_dp(table, k, quantized)
     rounded = [

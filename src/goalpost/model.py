@@ -355,8 +355,9 @@ def improvement_report(instance: Instance, targets: TargetSet) -> ImprovementRep
         sizes[agent.group] += 1
     return ImprovementReport(
         tuple(outcomes),
-        tuple(Fraction(tot, scale) for tot in totals),
-        tuple(Fraction(tot, scale * n) if n else zero for tot, n in zip(totals, sizes)),
+        # Zero totals (most of them, with many groups) share one Fraction.
+        tuple(Fraction(tot, scale) if tot else zero for tot in totals),
+        tuple(Fraction(tot, scale * n) if tot else zero for tot, n in zip(totals, sizes)),
         Fraction(sum(totals), scale),
     )
 

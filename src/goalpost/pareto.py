@@ -7,14 +7,23 @@ targets.  Dominated tuples are discarded at every state, not just at the
 root: tuples compose additively along transitions, so dominance is preserved
 and the per-state sets stay within their pseudo-polynomial bound.
 
+Each welfare tuple is held as one int (:class:`_Layout`): ``g`` fields of
+``b`` bits, group 0 most significant, each field below its top bit, the
+guard.  Then int order is lexicographic order, adding a gain is one int
+addition, and "``p >= q`` in every group" is one subtraction: the guard
+bits of ``(p | guards) - q`` are all set exactly then.  ``b`` is a whole
+number of bytes, so a key of many fields packs and unpacks through
+``int.to_bytes`` in O(g).  The states are small (tens of candidates), so
+they stay Python lists: numpy's per-call cost would lose at that size.
+
 Pruning is a skyline scan (:func:`prune_dominated`).  A state's candidates
-are sorted once in descending lexicographic order; then every earlier tuple
-is at least as large in the first group, and a tuple is dominated exactly
-when an earlier kept one is weakly larger in every other group.  With two
-groups that test is a running maximum, and with three a staircase of the
-kept (second, third) pairs searched with ``bisect``, so a state of ``c``
+are sorted once in descending order; then every earlier tuple is at least
+as large in the first group, and a tuple is dominated exactly when an
+earlier kept one is weakly larger in every other group.  With two groups
+that test is a running maximum, and with three a staircase of the kept
+(second, third) pairs searched with ``bisect``, so a state of ``c``
 candidates costs O(c log c) instead of O(c²) tuple comparisons; four or
-more groups compare each candidate with the kept tuples.
+more groups take the guard-bit test against each kept tuple.
 
 A tuple does not carry its witness chain.  It stores a back-pointer
 ``(j, index)``: its lowest target ``j`` and the position of the tuple it
@@ -36,17 +45,19 @@ scheme instead.
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import repeat
+from itertools import chain, repeat
 from math import inf
-from operator import add, ge, itemgetter
-from typing import Callable, Mapping, Optional
+from operator import itemgetter
+from sys import byteorder
+from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import NonIntegralInstance, refuses_exhaustion
 from .errors import _physical_memory, check_memory
-from .model import Instance, TargetSet, validate_instance
+from .model import Instance, TargetSet, integer_grid, validate_instance
 from .tables import ContributionTable
 
 WelfareTuple = tuple[Fraction, ...]
@@ -73,58 +84,144 @@ class ParetoFrontier:
         return frozenset(p.welfare for p in self.points)
 
 
-def _skyline(ranked: list[tuple[tuple, object]]) -> list[tuple[tuple, object]]:
+class _Layout:
+    """Welfare tuples of ``g`` non-negative coordinates packed in one int.
+
+    Coordinate ``c`` is field ``g - 1 - c`` of ``b`` bits, so group 0 is the
+    most significant.  Every coordinate stays below ``2^(b-1)``: the top bit
+    of each field, its guard, is always clear.  So no sum carries into the
+    next field, int order is lexicographic order, and the difference
+    ``(p | guards) - q`` borrows inside no field: its guard bits are all set
+    exactly when ``p >= q`` in every coordinate.
+    """
+
+    __slots__ = ("g", "b", "mask", "ones", "guards")
+
+    def __init__(self, g: int, top: int):
+        # The narrowest whole number of bytes with ``top`` below its guard.
+        self.g, self.b = g, 8 * (top.bit_length() // 8 + 1)
+        self.mask = (1 << self.b) - 1
+        field = 1 << self.b - 1
+        self.guards = int.from_bytes(field.to_bytes(self.b // 8, "big") * g, "big")
+        self.ones = self.guards >> self.b - 1
+
+    def pack(self, tuples: Sequence[Sequence[int]], low: int = 0) -> list[int]:
+        """The key of each tuple less ``low`` (each coordinate then in the
+        field): shifts for up to three groups, bytes for more."""
+        b, g, shift = self.b, self.g, low * self.ones
+        if g == 1:
+            return [a - low for a, in tuples]
+        if g == 2:
+            return [(a << b) + c - shift for a, c in tuples]
+        if g == 3:
+            return [(((a << b) + c) << b) + d - shift for a, c, d in tuples]
+        # Not one shift of a growing int per field: O(g) a key.
+        code = _ARRAY_CODES.get(b // 8)
+        keys = []
+        for values in tuples:
+            if low:
+                values = map(low.__rsub__, values)
+            if code is None:
+                keys.append(int.from_bytes(b"".join(
+                    map(int.to_bytes, values, repeat(b // 8), repeat("big"))), "big"))
+                continue
+            fields = array(code, values)
+            if byteorder == "little":
+                fields.reverse()
+            keys.append(int.from_bytes(fields.tobytes(), byteorder))
+        return keys
+
+    def unpack(self, key: int) -> tuple[int, ...]:
+        g, b, mask = self.g, self.b, self.mask
+        if g == 1:
+            return (key,)
+        if g == 2:
+            return key >> b, key & mask
+        if g == 3:
+            return key >> 2 * b, key >> b & mask, key & mask
+        n = b // 8
+        code = _ARRAY_CODES.get(n)
+        if code is None:
+            data = key.to_bytes(g * n, "big")
+            return tuple(int.from_bytes(data[o : o + n], "big") for o in range(0, g * n, n))
+        fields = array(code, key.to_bytes(g * n, byteorder))
+        if byteorder == "little":
+            fields.reverse()
+        return tuple(fields)
+
+
+# The field widths in bytes that an unsigned ``array`` converts in one call.
+_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+
+
+class _Candidates(NamedTuple):
+    """``(key, payload)`` pairs whose keys share one layout."""
+
+    layout: _Layout
+    pairs: Iterable[tuple[int, object]]
+
+
+def _skyline(ranked: list[tuple[int, object]], layout: _Layout) -> list[tuple[int, object]]:
     """The non-dominated ``(key, payload)`` pairs of ``ranked``, in its order.
 
-    ``ranked`` lists its keys in descending lexicographic order, so every
-    earlier key is at least as large in the first coordinate, and a key is
-    dominated (or repeats a kept key) exactly when some kept key is weakly
-    larger on all the remaining coordinates.  Of equal keys the first is kept.
+    ``ranked`` lists its keys in descending order, so every earlier key is at
+    least as large in the first coordinate, and a key is dominated (or
+    repeats a kept key) exactly when some kept key is weakly larger on all
+    the remaining coordinates.  Of equal keys the first is kept.
     """
     if not ranked:
         return []
-    g = len(ranked[0][0])
-    if g <= 1:
+    g, b, mask = layout.g, layout.b, layout.mask
+    if g == 1:
         return ranked[:1]
     kept = []
     if g == 2:
         # Running maximum of the second coordinate.
-        best = -inf
+        best = -1
         for pair in ranked:
-            y = pair[0][1]
+            y = pair[0] & mask
             if y > best:
                 best = y
                 kept.append(pair)
     elif g == 3:
-        # Staircase of the kept (b, c) pairs that no other kept pair covers:
-        # b ascending and c descending, so ``lows`` (-c) ascends too.  It
-        # ends in an infinite b that covers nothing, so a lookup never runs off.
-        bs: list = [inf]
+        # Staircase of the kept (y, z) pairs that no other kept pair covers:
+        # y ascending and z descending, so ``lows`` (-z) ascends too.  It
+        # ends in an infinite y that covers nothing, so a lookup never runs off.
+        ys: list = [inf]
         lows: list = [inf]
         for pair in ranked:
-            _, b, c = pair[0]
-            low = -c
-            # The first kept b' >= b has the largest c' among them.
-            at = bisect_left(bs, b)
+            key = pair[0]
+            y, low = key >> b & mask, -(key & mask)
+            # The first kept y' >= y has the largest z' among them.
+            at = bisect_left(ys, y)
             if lows[at] <= low:
                 continue
-            # Replace the steps (b', c') <= (b, c), which sit just below ``at``.
+            # Replace the steps (y', z') <= (y, z), which sit just below ``at``.
             first = bisect_left(lows, low, 0, at)
-            bs[first:at] = (b,)
+            ys[first:at] = (y,)
             lows[first:at] = (low,)
             kept.append(pair)
     else:
-        # Whole keys: a kept key already covers the first coordinate.
+        # Whole keys, one guard-bit test per kept key: a kept key already
+        # covers the first coordinate.
+        guards = layout.guards
+        covers: list[int] = []
         for pair in ranked:
-            if not any(all(map(ge, prev, pair[0])) for prev, _ in kept):
+            key = pair[0]
+            for cover in covers:
+                if cover - key & guards == guards:
+                    break
+            else:
+                covers.append(key | guards)
                 kept.append(pair)
     return kept
 
 
-def _pruned(candidates: list[tuple[tuple, object]]) -> list[tuple[tuple, object]]:
-    """The non-dominated pairs in ascending lexicographic order; of equal
-    keys the first listed keeps its payload (the sort is stable)."""
-    kept = _skyline(sorted(candidates, key=itemgetter(0), reverse=True))
+def _pruned(candidates: _Candidates) -> list[tuple[int, object]]:
+    """The non-dominated pairs in ascending order; of equal keys the first
+    listed keeps its payload (the sort is stable)."""
+    ranked = sorted(candidates.pairs, key=itemgetter(0), reverse=True)
+    kept = _skyline(ranked, candidates.layout)
     kept.reverse()
     return kept
 
@@ -132,13 +229,19 @@ def _pruned(candidates: list[tuple[tuple, object]]) -> list[tuple[tuple, object]
 def prune_dominated(candidates: Mapping[tuple, object]) -> list[tuple[tuple, object]]:
     """Keep the non-dominated keys (with payloads), sorted lexicographically.
 
-    A skyline prune: the keys are scanned in descending lexicographic order,
-    so a key is dominated exactly when some key kept before it is weakly
-    larger on the coordinates after the first.  For two coordinates that is
-    a running maximum, for three a bisected staircase of the kept pairs, and
-    for more a test against each kept key.
+    The keys are shifted by their least coordinate, packed (:class:`_Layout`)
+    and pruned by the skyline scan of the frontier DP; only the kept keys
+    are unpacked.
     """
-    return _pruned(list(candidates.items()))
+    if not candidates:
+        return []
+    coordinates = list(chain.from_iterable(candidates))
+    low = min(coordinates)
+    layout = _Layout(len(next(iter(candidates))), max(coordinates) - low)
+    del coordinates
+    keys = layout.pack(list(candidates), low)
+    kept = _pruned(_Candidates(layout, zip(keys, candidates.values())))
+    return [(tuple(v + low for v in layout.unpack(key)), payload) for key, payload in kept]
 
 
 def _require_integral(instance: Instance) -> None:
@@ -152,20 +255,45 @@ def _require_integral(instance: Instance) -> None:
 # A witness back-pointer: (j, index of the tuple in state j of the layer
 # below), or None for the empty chain.
 Link = Optional[tuple[int, int]]
-State = list[tuple[tuple[int, ...], Link]]
+State = list[tuple[int, Link]]
+
+# Bytes as CPython allocates them: a list slot, an empty tuple (with its
+# garbage-collector header), a pair and an int of up to 60 bits.
+_SLOT, _TUPLE, _INT = 8, 40, 32
+_PAIR = _TUPLE + 2 * _SLOT
+# Besides its key: a state's entry is its (key, back-pointer) pair and slot;
+# a candidate is that and the slots of the sort; a source is a state's entry
+# paired with a new back-pointer (j, index), and a link is a stored one.
+_ENTRY = _PAIR + _SLOT
+_CANDIDATE = _PAIR + 4 * _SLOT
+_SOURCE = 2 * _PAIR + _INT + _SLOT
+_LINK = _PAIR + _INT + _SLOT
+# A gain as read: its tuple and slot, and a slot and an int a coordinate.
+_READ, _READ_COORDINATE = _TUPLE + _SLOT, _SLOT + _INT
+
+
+def _int_bytes(bits: int) -> int:
+    """Bytes of an int of ``bits`` bits: a header and 30-bit digits."""
+    return 24 + 4 * max(1, -(-bits // 30))
 
 
 @refuses_exhaustion("the frontier DP")
 def frontier_dp(
     table: ContributionTable, k: int, gain: Callable[[int, int], tuple[int, ...]]
 ) -> tuple[dict[tuple[int, ...], tuple[int, ...]], int]:
-    """The frontier recursion over integer per-group tuples.
+    """The frontier recursion over non-negative integer per-group tuples.
 
-    ``gain(i, j)`` is the tuple a target at level ``j`` adds when it is the
-    lowest one at or above level ``i``; it is read once per cell, and only in
-    the table's band and row 0.  Returns the root state, non-dominated tuples
-    mapped to their witness index chains in lexicographic order, and the size
-    of the largest pruned state.
+    ``gain(i, j)`` is the non-negative tuple a target at level ``j`` adds
+    when it is the lowest one at or above level ``i``; it is read once per
+    cell, and only in the table's band and row 0.  Returns the root state,
+    non-dominated tuples mapped to their witness index chains in
+    lexicographic order, and the size of the largest pruned state.
+
+    Each tuple is held as one packed int (:class:`_Layout`) whose fields are
+    wide enough for ``top * max(1, min(k, m - 1))``, ``top`` being the
+    largest coordinate of any cell read: no chain adds more than that, and
+    each packed gain fits.  The gains are
+    packed once, after they are read, and only the root's keys are unpacked.
 
     Past the band, ``gain(i, j) = gain(0, j)``, so every state shares one
     pruned suffix union of ``prev[j] + gain(0, j)``, built right to left; in
@@ -173,59 +301,80 @@ def frontier_dp(
     Each tuple stores its witness as a back-pointer into the layer below;
     the chains are walked once, at the root.
 
-    Raises ``SearchSpaceTooLarge`` before the tuples held (8 bytes a group)
-    would exceed physical memory, or when an allocation fails anyway (under
-    an address-space limit below physical memory).
+    Raises ``SearchSpaceTooLarge`` before what it holds (the gains as read,
+    then the packed gains, the entries of the states and the stored
+    back-pointers) would exceed physical memory, or when an allocation fails
+    anyway (under an address-space limit below physical memory).
     """
     m, w, g = table.grid_size, table.width, table.instance.num_groups
+    depth = min(k, max(m - 1, 0))
     have = _physical_memory()
 
-    def hold(tuples: int) -> None:
-        # A tuple of g ints holds at least g 8-byte slots.
-        check_memory(8 * g * tuples, "the frontier DP's welfare tuples", have)
+    def hold(need: int) -> None:
+        check_memory(need, "the frontier DP's welfare tuples", have)
 
-    # The gains, the base tuple, then each layer's states: a running count.
-    gains = m * (w + 1) + 1
-    hold(gains)
+    cells = max(m - 1, 0) * w + max(m - w - 1, 0)
+    read = cells * (_READ + g * _READ_COORDINATE)
+    hold(read)
     near = [[gain(i, j) for j in range(i + 1, min(i + w + 1, m))] for i in range(m - 1)]
-    far = {j: gain(0, j) for j in range(w + 1, m)}
-    base: State = [((0,) * g, None)]
+    # far[s - w - 1]: the gain of a target at level s past row 0's band.
+    far = [gain(0, j) for j in range(w + 1, m)]
+    rows = near + [far]
+    top = max((max(map(max, row)) for row in rows if row), default=0)
+    # The packed gains fit their fields even when no layer runs.
+    layout = _Layout(g, top * max(depth, 1))
+    key_bytes = _int_bytes(g * layout.b)
+    entry, candidate = key_bytes + _ENTRY, key_bytes + _CANDIDATE
+    gains = cells * (key_bytes + _SLOT)
+    hold(gains + read)
+    for row in rows:
+        row[:] = layout.pack(row)
+    del rows
+    base: State = [(0, None)]
     # An empty grid still has the empty chain at its root.
     prev = [base] * max(m, 1)
     # layers[t][j]: the back-pointers stored in state j of layer t.
     layers: list[list[list[Link]]] = []
-    peak = 0
+    stored = peak = 0
     # No chain holds more than m - 1 targets: every later layer repeats.
-    for _ in range(min(k, max(m - 1, 0))):
-        keys = [[key for key, _ in state] for state in prev]
+    for _ in range(depth):
         sizes = [len(state) for state in prev]
-        held = gains + sum(sizes)
+        stored += sum(sizes)
+        held = gains + stored * _LINK + sum(sizes) * (entry + _SOURCE)
+        hold(held)
         layers.append([[link for _, link in state] for state in prev])
-        # What a candidate drawn from state j points back to.
-        pointers = [
-            list(zip(repeat(j), range(len(state)))) for j, state in enumerate(prev)
+        # Each tuple of state j paired with its back-pointer (j, index): what
+        # a target at level j that adds nothing gives as candidates.
+        sources = [
+            list(zip([key for key, _ in state], zip(repeat(j), range(len(state)))))
+            for j, state in enumerate(prev)
         ]
 
-        def shifted(j: int, added: tuple[int, ...]) -> State:
-            moved = [tuple(map(add, key, added)) for key in keys[j]]
-            return list(zip(moved, pointers[j]))
+        def shifted(j: int, added: int) -> list[tuple[int, Link]]:
+            if not added:
+                return sources[j]
+            return [(key + added, pointer) for key, pointer in sources[j]]
 
         # suffix[s]: the pruned union over j >= s, for s past row 0's band.
         suffix: list[State] = [[]] * (m + 1)
         for s in range(m - 1, w, -1):
-            held += sizes[s]
-            hold(held)
-            suffix[s] = _pruned(shifted(s, far[s]) + suffix[s + 1])
+            hold(held + (sizes[s] + len(suffix[s + 1])) * candidate)
+            candidates = shifted(s, far[s - w - 1]) + suffix[s + 1]
+            suffix[s] = _pruned(_Candidates(layout, candidates))
+            held += len(suffix[s]) * entry
         cur = [base] * len(prev)
         for i in range(m - 1):
             # The candidates' new tuples are counted before they are made.
-            hold(held + sum(sizes[i + 1 : i + w + 1]))
+            tail = suffix[min(i + w + 1, m)]
+            hold(held + (sum(sizes[i + 1 : i + w + 1]) + len(tail)) * candidate)
             candidates = []
             for j, added in enumerate(near[i], i + 1):
                 candidates += shifted(j, added)
-            cur[i] = _pruned(candidates + suffix[min(i + w + 1, m)])
-            held += len(cur[i])
+            candidates += tail
+            cur[i] = _pruned(_Candidates(layout, candidates))
+            held += len(cur[i]) * entry
             peak = max(peak, len(cur[i]))
+        del sources, suffix, candidates, tail
         prev = cur
 
     def chain(link: Link) -> tuple[int, ...]:
@@ -238,14 +387,20 @@ def frontier_dp(
             link = links[j][index]
         return tuple(out)
 
-    return {key: chain(link) for key, link in prev[0]}, peak
+    # The root's keys as tuples, read like the gains.
+    hold(gains + stored * _LINK + len(prev[0]) * (entry + _READ + g * _READ_COORDINATE))
+    return {layout.unpack(key): chain(link) for key, link in prev[0]}, peak
 
 
 def pareto_frontier(
     instance: Instance, k: int, *, table: Optional[ContributionTable] = None
 ) -> ParetoFrontier:
     """All non-dominated per-group welfare tuples over target sets of size <= k,
-    each with one witnessing TargetSet (first found in scan order)."""
+    each with one witnessing TargetSet (first found in scan order).
+
+    Raises ``SearchSpaceTooLarge`` before forming the points when they and
+    their JSON text (as the command line writes them) would exceed physical
+    memory."""
     if k < 0:
         raise ValueError("k must be non-negative")
     validate_instance(instance)
@@ -253,14 +408,34 @@ def pareto_frontier(
     if table is None:
         table = ContributionTable(instance)
     root, _ = frontier_dp(table, k, table.group_credit_scaled)
+    check_memory(_points_bytes(table, root), "the frontier's points", _physical_memory())
+    # Zero coordinates (most of them, with many groups) share one Fraction.
+    zero = Fraction(0)
     points = tuple(
         FrontierPoint(
-            tuple(table.to_fraction(w) for w in welfare),
+            tuple(Fraction(w, table.scale) if w else zero for w in welfare),
             table.served_targets(chain),
         )
         for welfare, chain in root.items()
     )
     return ParetoFrontier(points, instance.num_groups)
+
+
+# A conservative size of one frontier coordinate or target as it is formed
+# and written: its slot in the point, and, on the command line, its string
+# and its line of JSON text.  Measured: 120 points of 10^5 one-character
+# coordinates peaked at 1.96 GB as JSON, about 160 B a coordinate.
+_POINT_BYTES, _VALUE_BYTES, _BYTES_PER_CHAR = 1024, 192, 16
+
+
+def _points_bytes(table: ContributionTable, root: Mapping[tuple, tuple]) -> int:
+    """Bytes of the frontier's points.  No coordinate or target is longer as
+    text than ``chars``: the digits of the grid's bound (which bounds every
+    welfare total), a slash and the digits of its scale."""
+    grid = integer_grid(table.instance)
+    chars = sum(v.bit_length() * 31 // 100 + 1 for v in (grid.bound, grid.scale)) + 1
+    values = len(root) * table.instance.num_groups + sum(map(len, root.values()))
+    return _POINT_BYTES * len(root) + (_VALUE_BYTES + _BYTES_PER_CHAR * chars) * values
 
 
 def max_min_solution(

@@ -318,3 +318,66 @@ def test_back_pointer_frontier_dp_matches_the_chain_recursion():
             expected, expected_peak = chain_frontier_dp(table, k, gain)
             assert list(root.items()) == list(expected.items())
             assert peak == expected_peak
+
+
+def _grouped_instance(rng, g, n, max_position, max_capacity, offset=0, unit=1):
+    """``n`` agents over ``g`` groups, each group populated, positions and
+    capacities whole multiples of ``unit`` (positions shifted by ``offset``)."""
+    groups = list(range(g)) + [rng.randrange(g) for _ in range(n - g)]
+    return Instance(tuple(
+        Agent(offset + unit * rng.randint(0, max_position),
+              unit * rng.randint(0, max_capacity), gi)
+        for gi in groups
+    ), g)
+
+
+def test_frontier_matches_the_oracle_with_four_to_six_groups():
+    # Four or more groups take the guard-bit dominance test.
+    rng = random.Random(46)
+    for _ in range(60):
+        g = rng.randint(4, 6)
+        inst = _grouped_instance(rng, g, rng.randint(g, 8), 14, 5)
+        k = rng.randint(1, 3)
+        frontier = pareto_frontier(inst, k)
+        assert frontier.welfare_set() == brute_force_pareto(inst, k).welfare_set()
+        assert [p.welfare for p in frontier.points] == sorted(
+            p.welfare for p in frontier.points)
+
+
+def test_skyline_prune_matches_the_pairwise_prune_at_the_guard_bit():
+    # Coordinates reach 2^(b-1) - 1 above the least one, the largest value a
+    # b-bit field holds below its guard bit, for 6 to 9 coordinates.
+    rng = random.Random(69)
+    for _ in range(600):
+        g = rng.randint(6, 9)
+        top = (1 << rng.choice([7, 15, 23, 63, 71])) - 1
+        low = rng.choice([0, -top, -(2**70), 2**70])
+        values = [low, low + 1, low + top // 2, low + top - 1, low + top]
+        candidates = {
+            tuple(rng.choice(values) for _ in range(g)): index
+            for index in range(rng.randint(1, 40))
+        }
+        # One key holds the top in every coordinate, one the least.
+        candidates.setdefault((low + top,) * g, -1)
+        candidates.setdefault((low,) * g, -2)
+        assert prune_dominated(candidates) == pairwise_prune(candidates)
+
+
+def test_back_pointer_frontier_dp_matches_the_chain_recursion_past_64_bits():
+    """Positions near 2^62 and capacities up to 6·2^60 make an exact (object)
+    table whose welfare fields span more than 64 bits."""
+    rng = random.Random(2**62)
+    largest = 0
+    for _ in range(40):
+        g = rng.randint(1, 5)
+        inst = _grouped_instance(rng, g, rng.randint(g, 8), 12, 6,
+                                 offset=2**62, unit=2**60 + 1)
+        table = ContributionTable(inst)
+        assert table.engine == "python"
+        k = rng.randint(1, 4)
+        root, peak = frontier_dp(table, k, table.group_credit_scaled)
+        expected, expected_peak = chain_frontier_dp(table, k, table.group_credit_scaled)
+        assert list(root.items()) == list(expected.items())
+        assert peak == expected_peak
+        largest = max(largest, *map(max, root))
+    assert largest >= 2**64

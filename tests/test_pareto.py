@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
@@ -16,6 +18,7 @@ from goalpost import (
     simultaneity_factor,
 )
 from goalpost.errors import NonIntegralInstance
+from goalpost.tables import ContributionTable
 from helpers import random_integral_instance
 
 TWO_GROUPS = Instance((Agent(0, 2, 0), Agent(1, 2, 1)), 2, CapacityModel.COMMON)
@@ -170,3 +173,70 @@ def test_a_failed_frontier_allocation_is_refused(monkeypatch):
     monkeypatch.setattr(pareto, "_pruned", exhausted)
     with pytest.raises(SearchSpaceTooLarge, match="ran out of memory"):
         pareto_frontier(_one_agent_per_group(3), 2)
+
+
+def test_a_zero_budget_frontier_packs_gains_wider_than_a_byte():
+    # No layer runs at k = 0, but the gains read are still packed: the
+    # fields must hold them (four groups take the array conversion).
+    for g in (2, 3, 4):
+        inst = Instance((Agent(0, 1000, 0), Agent(5, 300, g - 1)), g)
+        frontier = pareto_frontier(inst, 0)
+        assert [p.welfare for p in frontier.points] == [(0,) * g]
+
+
+def test_frontier_dp_holds_less_than_the_need_it_counts(monkeypatch):
+    from goalpost import pareto
+
+    needs = []
+    check = pareto.check_memory
+
+    def counted(need, what, have):
+        needs.append(need)
+        check(need, what, have)
+
+    monkeypatch.setattr(pareto, "check_memory", counted)
+    rng = random.Random(12)
+    # One group: the band's gains are most of what is held.
+    cases = [(1, 400, 4000, 20, 2)] + [(g, 5 * g + 5, 30 * g, 8, 2 + (g < 4))
+                                        for g in range(1, 6)]
+    for g, n, max_position, max_capacity, k in cases:
+        inst = Instance(tuple(
+            Agent(rng.randint(0, max_position), rng.randint(1, max_capacity), i % g)
+            for i in range(n)), g)
+        table = ContributionTable(inst)
+        needs.clear()
+        tracemalloc.start()
+        try:
+            pareto.frontier_dp(table, k, table.group_credit_scaled)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < max(needs)
+
+
+def test_frontier_points_past_physical_memory_are_refused(monkeypatch):
+    from goalpost import pareto
+    from goalpost.errors import SearchSpaceTooLarge
+
+    # Ten agents, one per group, among 2,000 groups: each point holds 2,000
+    # coordinates, nearly all 0.
+    inst = Instance(tuple(Agent(3 * i, 4, i) for i in range(10)), 2000)
+    need = {}
+    check = pareto.check_memory
+
+    def counted(n, what, have):
+        need[what] = max(n, need.get(what, 0))
+        check(n, what, have)
+
+    monkeypatch.setattr(pareto, "check_memory", counted)
+    frontier = pareto_frontier(inst, 2)
+    points = need["the frontier's points"]
+    assert points > need["the frontier DP's welfare tuples"]
+    # Every zero coordinate is one shared Fraction.
+    zeros = {id(w) for p in frontier.points for w in p.welfare if w == 0}
+    assert len(zeros) == 1
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: points - 1)
+    with pytest.raises(SearchSpaceTooLarge, match="the frontier's points"):
+        pareto_frontier(inst, 2)
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: points)
+    assert pareto_frontier(inst, 2) == frontier
