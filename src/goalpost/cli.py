@@ -25,9 +25,9 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from . import fairness, fptas, learning, oracle, pareto, welfare
-from .errors import GoalpostError
+from .errors import GoalpostError, _physical_memory, check_memory
 from .io import load_distribution, load_instance
-from .model import TargetSet, rational, rational_str
+from .model import TargetSet, rational, rational_str, text_bytes
 
 Rows = Optional[list[list[str]]]
 
@@ -117,8 +117,18 @@ def _sweep(args, instance) -> tuple[dict, Rows]:
     return {"curve": entries, "min_k_for_max": curve.min_k_for_max}, rows
 
 
+# A conservative size of a frontier point's payload dict, and of one
+# coordinate or target besides its characters: its string and its line of
+# JSON text.  Measured: 120 points of 10^5 one-character coordinates peaked at
+# 1.96 GB as JSON, about 160 B a coordinate.
+_POINT_TEXT, _VALUE_TEXT = 1024, 192
+
+
 def _pareto(args, instance) -> tuple[dict, Rows]:
     frontier = pareto.pareto_frontier(instance, args.k)
+    values = sum(len(p.welfare) + len(p.targets.levels) for p in frontier.points)
+    need = _POINT_TEXT * len(frontier.points) + (_VALUE_TEXT + text_bytes(instance)) * values
+    check_memory(need, "the frontier's text", _physical_memory())
     points = [_point(p) for p in frontier.points]
     rows = [[f"group_{g}" for g in range(frontier.num_groups)] + ["targets"]] + [
         p["welfare"] + [" ".join(p["targets"])] for p in points

@@ -480,6 +480,20 @@ def integer_grid(instance: Instance) -> IntegerGrid:
     return grid
 
 
+# Bytes a character of a value's text takes as the command line forms and
+# writes it: its string, its copy in the JSON text and the output buffer.
+_BYTES_PER_CHAR = 16
+
+
+def text_bytes(instance: Instance) -> int:
+    """Bytes of the longest level, target or welfare total as text: no such
+    value is longer than the digits of the grid's bound, a slash and the
+    digits of its scale."""
+    grid = integer_grid(instance)
+    chars = sum(v.bit_length() * 31 // 100 + 1 for v in (grid.bound, grid.scale)) + 1
+    return _BYTES_PER_CHAR * chars
+
+
 def potential_targets(instance: Instance) -> TargetSet:
     """Every agent position and position-plus-capacity, sorted and deduplicated.
 

@@ -45,14 +45,12 @@ scheme instead.
 
 from __future__ import annotations
 
-from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
-from sys import byteorder
 from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
 
 from .errors import NonIntegralInstance, refuses_exhaustion
@@ -116,20 +114,13 @@ class _Layout:
         if g == 3:
             return [(((a << b) + c) << b) + d - shift for a, c, d in tuples]
         # Not one shift of a growing int per field: O(g) a key.
-        code = _ARRAY_CODES.get(b // 8)
-        keys = []
-        for values in tuples:
-            if low:
-                values = map(low.__rsub__, values)
-            if code is None:
-                keys.append(int.from_bytes(b"".join(
-                    map(int.to_bytes, values, repeat(b // 8), repeat("big"))), "big"))
-                continue
-            fields = array(code, values)
-            if byteorder == "little":
-                fields.reverse()
-            keys.append(int.from_bytes(fields.tobytes(), byteorder))
-        return keys
+        n = b // 8
+        if low:
+            tuples = (map(low.__rsub__, values) for values in tuples)
+        return [
+            int.from_bytes(b"".join(map(int.to_bytes, values, repeat(n), repeat("big"))), "big")
+            for values in tuples
+        ]
 
     def unpack(self, key: int) -> tuple[int, ...]:
         g, b, mask = self.g, self.b, self.mask
@@ -140,18 +131,8 @@ class _Layout:
         if g == 3:
             return key >> 2 * b, key >> b & mask, key & mask
         n = b // 8
-        code = _ARRAY_CODES.get(n)
-        if code is None:
-            data = key.to_bytes(g * n, "big")
-            return tuple(int.from_bytes(data[o : o + n], "big") for o in range(0, g * n, n))
-        fields = array(code, key.to_bytes(g * n, byteorder))
-        if byteorder == "little":
-            fields.reverse()
-        return tuple(fields)
-
-
-# The field widths in bytes that an unsigned ``array`` converts in one call.
-_ARRAY_CODES = {array(code).itemsize: code for code in "QLIHB"}
+        data = key.to_bytes(g * n, "big")
+        return tuple(int.from_bytes(data[o : o + n], "big") for o in range(0, g * n, n))
 
 
 class _Candidates(NamedTuple):
@@ -235,10 +216,9 @@ def prune_dominated(candidates: Mapping[tuple, object]) -> list[tuple[tuple, obj
     """
     if not candidates:
         return []
-    coordinates = list(chain.from_iterable(candidates))
-    low = min(coordinates)
-    layout = _Layout(len(next(iter(candidates))), max(coordinates) - low)
-    del coordinates
+    low = min(chain.from_iterable(candidates))
+    top = max(chain.from_iterable(candidates)) - low
+    layout = _Layout(len(next(iter(candidates))), top)
     keys = layout.pack(list(candidates), low)
     kept = _pruned(_Candidates(layout, zip(keys, candidates.values())))
     return [(tuple(v + low for v in layout.unpack(key)), payload) for key, payload in kept]
@@ -399,8 +379,7 @@ def pareto_frontier(
     each with one witnessing TargetSet (first found in scan order).
 
     Raises ``SearchSpaceTooLarge`` before forming the points when they and
-    their JSON text (as the command line writes them) would exceed physical
-    memory."""
+    the root they are read from would exceed physical memory."""
     if k < 0:
         raise ValueError("k must be non-negative")
     validate_instance(instance)
@@ -421,21 +400,26 @@ def pareto_frontier(
     return ParetoFrontier(points, instance.num_groups)
 
 
-# A conservative size of one frontier coordinate or target as it is formed
-# and written: its slot in the point, and, on the command line, its string
-# and its line of JSON text.  Measured: 120 points of 10^5 one-character
-# coordinates peaked at 1.96 GB as JSON, about 160 B a coordinate.
-_POINT_BYTES, _VALUE_BYTES, _BYTES_PER_CHAR = 1024, 192, 16
+# A point with its welfare and target tuples and its TargetSet, besides their
+# slots; and a Fraction's object with its slot, besides its two ints.
+_POINT, _FRACTION = 1024, 48 + _SLOT
 
 
 def _points_bytes(table: ContributionTable, root: Mapping[tuple, tuple]) -> int:
-    """Bytes of the frontier's points.  No coordinate or target is longer as
-    text than ``chars``: the digits of the grid's bound (which bounds every
-    welfare total), a slash and the digits of its scale."""
-    grid = integer_grid(table.instance)
-    chars = sum(v.bit_length() * 31 // 100 + 1 for v in (grid.bound, grid.scale)) + 1
-    values = len(root) * table.instance.num_groups + sum(map(len, root.values()))
-    return _POINT_BYTES * len(root) + (_VALUE_BYTES + _BYTES_PER_CHAR * chars) * values
+    """Bytes held while the points are formed: the root's tuples and chains
+    (counted as ``frontier_dp`` counts what it reads), and each point with a
+    slot a coordinate and a Fraction for each nonzero coordinate and each
+    target.  No point has more nonzero coordinates than there are groups
+    holding an agent, and no Fraction a larger numerator than the grid's
+    bound."""
+    instance, grid = table.instance, integer_grid(table.instance)
+    g = instance.num_groups
+    nonzero = min(g, len({agent.group for agent in instance.agents}))
+    fraction = _FRACTION + _int_bytes(grid.bound.bit_length()) + _int_bytes(
+        grid.scale.bit_length())
+    targets = sum(map(len, root.values()))
+    read = 2 * len(root) * _READ + (len(root) * g + targets) * _READ_COORDINATE
+    return read + len(root) * (_POINT + g * _SLOT + nonzero * fraction) + targets * fraction
 
 
 def max_min_solution(

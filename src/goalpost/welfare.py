@@ -41,7 +41,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import _physical_memory, check_memory, refuses_exhaustion
-from .model import EMPTY_TARGETS, Instance, TargetSet, integer_grid, validate_instance
+from .model import EMPTY_TARGETS, Instance, TargetSet, text_bytes, validate_instance
 from .tables import ContributionTable
 
 
@@ -209,19 +209,15 @@ def optimal_target_count_sweep(
 # A conservative size of one curve entry as it is built and written: its
 # BudgetPoint and, on the command line, its payload dict and JSON text.
 # Measured: about 1.3 KB an entry plus 200 B a target of 11 characters.
-_ENTRY_BYTES, _TARGET_BYTES, _BYTES_PER_CHAR = 2048, 256, 16
+_ENTRY_BYTES, _TARGET_BYTES = 2048, 256
 
 
 def _curve_bytes(instance: Instance, top: int, k_max: int) -> int:
     """Bytes of a curve up to ``k_max`` whose entry ``k`` holds at most
-    ``min(k, top)`` targets.  No level or value is longer as text than
-    ``chars``: the digits of the grid's bound, a slash and the digits of its
-    scale."""
-    grid = integer_grid(instance)
-    chars = sum(v.bit_length() * 31 // 100 + 1 for v in (grid.bound, grid.scale)) + 1
+    ``min(k, top)`` targets, each entry and target with its text."""
+    text = text_bytes(instance)
     targets = top * (top + 1) // 2 + (k_max - top) * top
-    return ((_ENTRY_BYTES + _BYTES_PER_CHAR * chars) * (k_max + 1)
-            + (_TARGET_BYTES + _BYTES_PER_CHAR * chars) * targets)
+    return (_ENTRY_BYTES + text) * (k_max + 1) + (_TARGET_BYTES + text) * targets
 
 
 def max_total_with_min_improvers(

@@ -685,3 +685,34 @@ def test_the_parser_is_built_once_for_every_call(capsys, monkeypatch):
         assert run(capsys, "solve", "--instance", CLUSTER, "--k", "1")[0] == 0
     # None when an earlier call already built it, else every subcommand once.
     assert built in ([], list(cli.COMMANDS))
+
+
+def test_a_frontier_whose_text_cannot_fit_is_refused(capsys, monkeypatch, tmp_path):
+    from goalpost import cli
+
+    # Ten agents, one per group, among 2,000 groups: the points fit, and
+    # their JSON text, 2,000 values a point, is counted before it is formed.
+    path = error_case(tmp_path, "groups.json", {
+        "agents": [{"position": 3 * i, "capacity": 4, "group": i} for i in range(10)],
+        "num_groups": 2000})
+    need = []
+    check = cli.check_memory
+
+    def counted(n, what, have):
+        need.append(n)
+        check(n, what, have)
+
+    monkeypatch.setattr(cli, "check_memory", counted)
+    argv = ["pareto", "--instance", path, "--k", "2"]
+    code, out = run(capsys, *argv)
+    assert code == 0
+    assert need[0] > len(out) * 16
+    monkeypatch.setattr(cli, "_physical_memory", lambda: need[0] - 1)
+    code, payload = run_json(capsys, *argv)
+    assert code == 1
+    assert payload["error"] == "SearchSpaceTooLarge"
+    assert "the frontier's text" in payload["detail"]
+    # One point: maxmin writes no frontier, so its text is not counted.
+    code, payload = run_json(capsys, "maxmin", "--instance", path, "--k", "2")
+    assert code == 0
+    assert len(payload["welfare"]) == 2000

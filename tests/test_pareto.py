@@ -177,7 +177,7 @@ def test_a_failed_frontier_allocation_is_refused(monkeypatch):
 
 def test_a_zero_budget_frontier_packs_gains_wider_than_a_byte():
     # No layer runs at k = 0, but the gains read are still packed: the
-    # fields must hold them (four groups take the array conversion).
+    # fields must hold them (four groups pack through bytes).
     for g in (2, 3, 4):
         inst = Instance((Agent(0, 1000, 0), Agent(5, 300, g - 1)), g)
         frontier = pareto_frontier(inst, 0)
@@ -214,6 +214,33 @@ def test_frontier_dp_holds_less_than_the_need_it_counts(monkeypatch):
         assert peak < max(needs)
 
 
+def test_the_frontier_states_past_physical_memory_are_refused(monkeypatch):
+    from goalpost import pareto
+    from goalpost.errors import SearchSpaceTooLarge
+
+    needs = []
+    check = pareto.check_memory
+
+    def counted(need, what, have):
+        needs.append(need)
+        check(need, what, have)
+
+    monkeypatch.setattr(pareto, "check_memory", counted)
+    inst = _one_agent_per_group(10)
+    frontier = pareto_frontier(inst, 3)
+    # The gains as read, then with their packed keys: the needs before the
+    # first layer.  The states of the layers need more.
+    gains = max(needs[:2])
+    assert max(needs[2:-1]) > gains
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: gains)
+    needs.clear()
+    with pytest.raises(SearchSpaceTooLarge, match="welfare tuples needs"):
+        pareto_frontier(inst, 3)
+    assert len(needs) > 2 and max(needs[:-1]) <= gains < needs[-1]
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: None)
+    assert pareto_frontier(inst, 3) == frontier
+
+
 def test_frontier_points_past_physical_memory_are_refused(monkeypatch):
     from goalpost import pareto
     from goalpost.errors import SearchSpaceTooLarge
@@ -229,14 +256,20 @@ def test_frontier_points_past_physical_memory_are_refused(monkeypatch):
         check(n, what, have)
 
     monkeypatch.setattr(pareto, "check_memory", counted)
-    frontier = pareto_frontier(inst, 2)
+    tracemalloc.start()
+    try:
+        frontier = pareto_frontier(inst, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     points = need["the frontier's points"]
+    assert peak < points
     assert points > need["the frontier DP's welfare tuples"]
     # Every zero coordinate is one shared Fraction.
     zeros = {id(w) for p in frontier.points for w in p.welfare if w == 0}
     assert len(zeros) == 1
     monkeypatch.setattr(pareto, "_physical_memory", lambda: points - 1)
     with pytest.raises(SearchSpaceTooLarge, match="the frontier's points"):
-        pareto_frontier(inst, 2)
+        pareto_frontier(inst, 3)
     monkeypatch.setattr(pareto, "_physical_memory", lambda: points)
-    assert pareto_frontier(inst, 2) == frontier
+    assert pareto_frontier(inst, 3) == frontier
