@@ -42,7 +42,7 @@ from .model import (
     validate_instance,
 )
 from .oracle import max_min_witness
-from .pareto import frontier_dp
+from .pareto import band_gains, frontier_dp
 from .tables import ContributionTable
 
 
@@ -141,10 +141,10 @@ def fptas_max_min(
     # d // (p / q) is d * q // p: the same floor, with no Fraction formed.
     ps, qs = zip(*(u.as_integer_ratio() for u in units))
 
-    def quantized(i: int, j: int) -> tuple[int, ...]:
-        return tuple(map(floordiv, map(mul, table.group_credit_scaled(i, j), qs), ps))
+    def quantized(credits: list[int]) -> tuple[int, ...]:
+        return tuple(map(floordiv, map(mul, credits, qs), ps))
 
-    root, peak = frontier_dp(table, k, quantized)
+    root, peak = frontier_dp(table, k, band_gains(table, quantized))
     rounded = [
         (tuple(Fraction(q * u, table.scale) for q, u in zip(key, units)), chain)
         for key, chain in root.items()

@@ -32,8 +32,9 @@ are kept, and the root's chains are walked once at the end.
 
 The recursion, :func:`frontier_dp`, works on integer tuples from any per-cell
 gain; the exact frontier feeds it scaled group credits, and the max-min
-approximation scheme feeds it credits quantized to whole rounding steps.  It
-reads gains only in the credit table's band and row 0: past the band a
+approximation scheme feeds it credits quantized to whole rounding steps,
+both read by :func:`band_gains` from one list of the group band.  It reads
+gains only in the credit table's band and row 0: past the band a
 target's gain does not depend on the state's level, so the candidates from
 there form one pruned suffix union, built right to left once per budget and
 shared by every state.
@@ -249,12 +250,35 @@ _CANDIDATE = _PAIR + 4 * _SLOT
 _SOURCE = 2 * _PAIR + _INT + _SLOT
 _LINK = _PAIR + _INT + _SLOT
 # A gain as read: its tuple and slot, and a slot and an int a coordinate.
+# A cell of a band reader's lists: an empty list and its slot, and a slot a
+# coordinate; its ints are those read, or 0.
 _READ, _READ_COORDINATE = _TUPLE + _SLOT, _SLOT + _INT
+_LIST = 56 + _SLOT
 
 
 def _int_bytes(bits: int) -> int:
     """Bytes of an int of ``bits`` bits: a header and 30-bit digits."""
     return 24 + 4 * max(1, -(-bits // 30))
+
+
+def band_gains(
+    table: ContributionTable, convert: Callable[[list[int]], tuple[int, ...]] = tuple
+) -> Callable[[int, int], tuple[int, ...]]:
+    """``gain(i, j)`` for :func:`frontier_dp`: ``convert`` of the group
+    credits ``table.group_credit_scaled(i, j)`` reads, for ``j > i``, taken
+    from one ``tolist`` of the group band and one of row 0 rather than one
+    numpy index a cell.  The lists are formed on the first read and live as
+    long as the reader; ``frontier_dp`` counts them before it reads."""
+    w, lists = table.width, []
+
+    def gain(i: int, j: int) -> tuple[int, ...]:
+        if not lists:
+            lists.extend((table.group_credits.transpose(1, 2, 0).tolist(),
+                          table.group_credit0.T.tolist()))
+        d = j - i - 1
+        return convert(lists[0][i][d] if d < w else lists[1][j])
+
+    return gain
 
 
 @refuses_exhaustion("the frontier DP")
@@ -281,8 +305,9 @@ def frontier_dp(
     Each tuple stores its witness as a back-pointer into the layer below;
     the chains are walked once, at the root.
 
-    Raises ``SearchSpaceTooLarge`` before what it holds (the gains as read,
-    then the packed gains, the entries of the states and the stored
+    Raises ``SearchSpaceTooLarge`` before what it holds (the lists a
+    :func:`band_gains` reader keeps, counted whatever ``gain`` is; the gains
+    as read, then the packed gains, the entries of the states and the stored
     back-pointers) would exceed physical memory, or when an allocation fails
     anyway (under an address-space limit below physical memory).
     """
@@ -294,8 +319,11 @@ def frontier_dp(
         check_memory(need, "the frontier DP's welfare tuples", have)
 
     cells = max(m - 1, 0) * w + max(m - w - 1, 0)
+    # A band reader's lists hold every band cell and all of row 0, whose
+    # first W + 1 levels are not read, for as long as the caller holds it.
+    lists = (m * w + m) * (_LIST + g * _SLOT) + (m + 2) * _LIST + (w + 1) * g * _INT
     read = cells * (_READ + g * _READ_COORDINATE)
-    hold(read)
+    hold(lists + read)
     near = [[gain(i, j) for j in range(i + 1, min(i + w + 1, m))] for i in range(m - 1)]
     # far[s - w - 1]: the gain of a target at level s past row 0's band.
     far = [gain(0, j) for j in range(w + 1, m)]
@@ -305,7 +333,8 @@ def frontier_dp(
     layout = _Layout(g, top * max(depth, 1))
     key_bytes = _int_bytes(g * layout.b)
     entry, candidate = key_bytes + _ENTRY, key_bytes + _CANDIDATE
-    gains = cells * (key_bytes + _SLOT)
+    # From here on ``gains`` is what every count starts from.
+    gains = lists + cells * (key_bytes + _SLOT)
     hold(gains + read)
     for row in rows:
         row[:] = layout.pack(row)
@@ -386,7 +415,7 @@ def pareto_frontier(
     _require_integral(instance)
     if table is None:
         table = ContributionTable(instance)
-    root, _ = frontier_dp(table, k, table.group_credit_scaled)
+    root, _ = frontier_dp(table, k, band_gains(table))
     check_memory(_points_bytes(table, root), "the frontier's points", _physical_memory())
     # Zero coordinates (most of them, with many groups) share one Fraction.
     zero = Fraction(0)

@@ -15,20 +15,23 @@ therefore equals its row-0 entry ``(0, j)``.  The table stores row 0 in full
 plus an ``(m, W)`` band per quantity, O(m·W) cells instead of O(m²); wide
 capacities widen the band, up to ``W = m - 1`` when one agent spans the grid.
 
-The build scatters each agent's reachable levels once, into ``(m, W+1)``
-column tables, one for head counts and one per group: cell ``[j, t]`` holds
-the agents at level ``j - 1 - t`` that reach level ``j``.  Prefix sums along
-``t`` give the band cells, and the sum at offset ``W``, past every agent's
-span, is row 0, so row 0 needs no scatter of its own.  The scatter's entry
-arrays are freed before any band is allocated, and each column table as
-soon as its band and row 0 are copied out; with one group, ``credits`` and
-``credit0`` are views of group 0's arrays, not a summed copy.  The build's
-peak is therefore the ``g + 1`` column tables plus the larger of the entry
-arrays and the group band, about ``3·m·(W+1)`` words for one group, and
-never an n × m mask.  Once the band width is known, a table whose build
-cannot fit in physical memory is refused with ``SearchSpaceTooLarge``
-before any of it is allocated, and so is a build whose allocation fails
-anyway.
+Storage is offset-major: a band is held as ``(W, m)`` rows, one per offset
+``d = j - i - 1``, so a DP reduces over contiguous rows; the public
+``(m, W)`` attributes are transposed views of it.  The build scatters each
+agent's reachable levels once, into ``(W+1, m)`` column tables, one for
+head counts and one per group: cell ``[t, j]`` holds the agents at level
+``j - 1 - t`` that reach level ``j``.  Prefix sums along ``t`` give the
+band cells, each offset's row one contiguous slice, and the sum at offset
+``W``, past every agent's span, is row 0, so row 0 needs no scatter of its
+own.  The scatter's entry arrays are freed before any band is allocated,
+and each column table as soon as its band and row 0 are copied out; with
+one group, ``credits`` and ``credit0`` are views of group 0's arrays, not a
+summed copy.  The build's peak is therefore the ``g + 1`` column tables
+plus the larger of the entry arrays and the group band, about
+``3·m·(W+1)`` words for one group, and never an n × m mask.  Once the band
+width is known, a table whose build cannot fit in physical memory is
+refused with ``SearchSpaceTooLarge`` before any of it is allocated, and so
+is a build whose allocation fails anyway.
 
 Internally everything is integer: the build reads the instance's one
 integer view (:func:`goalpost.model.integer_grid`, scaled once by the least
@@ -70,16 +73,22 @@ def _check_fits(grid: IntegerGrid, g: int, w: int, entries: int, dtype) -> None:
 
 
 def _band(column: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The ``(..., m, W)`` band and the row 0 of a ``(..., m, W+1)`` column
-    table, summed in place along its last axis: band cell ``[i, d]`` is
-    column ``j = i + 1 + d`` at offset ``d``, and row 0 is offset ``W``."""
-    np.cumsum(column, axis=-1, out=column)
-    *lead, m, w = column.shape
+    """The ``(..., m, W)`` band and the row 0 of a ``(..., W+1, m)`` column
+    table, summed in place along its offset axis.  The band is the
+    transposed view of an offset-major ``(..., W, m)`` array: its row ``d``
+    is the columns ``j = i + 1 + d`` at offset ``d``, one contiguous slice.
+    Row 0 is offset ``W``.  Offset ``d`` is summed into ``d + 1`` as its
+    row is copied out, one addition of contiguous rows each: ``cumsum``
+    along a leading axis costs several times as much."""
+    *lead, w, m = column.shape
     w -= 1
-    band = np.zeros((*lead, m, w), dtype=column.dtype)
+    band = np.zeros((*lead, w, m), dtype=column.dtype)
+    # Offset first, every group's row d at once.
+    rows, out = column.swapaxes(0, -2), band.swapaxes(0, -2)
     for d in range(w):
-        band[..., : m - 1 - d, d] = column[..., d + 1 :, d]
-    return band, column[..., w].copy()
+        out[d, ..., : m - 1 - d] = rows[d, ..., d + 1 :]
+        np.add(rows[d], rows[d + 1], out=rows[d + 1])
+    return band.swapaxes(-1, -2), rows[w].copy()
 
 
 class ContributionTable:
@@ -96,10 +105,14 @@ class ContributionTable:
         credits, counts: ``(m, W)`` bands; ``[i, d]`` is the scaled credit and
             head count of a target at level ``j = i + 1 + d`` that is the
             lowest one at or above level ``i`` (0 past the top of the grid).
-        group_credits: ``(g, m, W)`` band of the scaled credit split by group.
+            Each is the transposed view of an offset-major ``(W, m)`` array,
+            which ``.T`` gives back.
+        group_credits: ``(g, m, W)`` band of the scaled credit split by group,
+            the ``swapaxes(1, 2)`` view of a ``(g, W, m)`` array.
         credit0, count0, group_credit0: row 0 (``i = 0``) of each table, one
             entry per level ``j``.  With one group, ``credits`` and
-            ``credit0`` are views of group 0's band and row 0.
+            ``credit0`` are views of group 0's band and row 0.  No two
+            attributes but these share data.
     """
 
     def __init__(self, instance: Instance, engine: str = "auto"):
@@ -135,24 +148,24 @@ class ContributionTable:
         # After the check: a group label past intp only comes with a huge g.
         gi = np.asarray([a.group for a in self.instance.agents], dtype=np.intp)
         # One entry per agent and reachable level j, at offset t = j - low - 1:
-        # flat cell j·(W+1) + t of an (m, W+1) column table.
+        # flat cell t·m + j of a (W+1, m) column table.
         who = np.repeat(np.arange(len(p)), span)
         t = np.arange(len(who)) - np.repeat(np.cumsum(span) - span, span)
         j = low[who] + 1 + t
-        at = j * (w + 1) + t
+        at = t * m + j
         del t
         gains = tps[j] - p[who]
         group = gi[who]
         del who, j
-        # By column: [j, t] sums the agents at level j - 1 - t that reach j, so
+        # By column: [t, j] sums the agents at level j - 1 - t that reach j, so
         # the prefix sum over t covers every agent from level j - 1 - t up.  No
         # span reaches offset W, so the sum there covers every agent below
         # level j that reaches it: row 0.
-        count = np.zeros((m, w + 1), dtype=np.int64)
+        count = np.zeros((w + 1, m), dtype=np.int64)
         np.add.at(count.reshape(-1), at, 1)
         at += group * (m * (w + 1))
         del group
-        group_credit = np.zeros((g, m, w + 1), dtype=dtype)
+        group_credit = np.zeros((g, w + 1, m), dtype=dtype)
         np.add.at(group_credit.reshape(-1), at, gains)
         # Each array goes once read: the entries before any band is
         # allocated, each column table once its band and row 0 are out.
@@ -164,6 +177,7 @@ class ContributionTable:
         if g == 1:
             self.credits, self.credit0 = self.group_credits[0], self.group_credit0[0]
         else:
+            # The sum keeps its terms' layout: offset-major too.
             self.credits = self.group_credits.sum(axis=0)
             self.credit0 = self.group_credit0.sum(axis=0)
         for table in (self.credits, self.counts, self.group_credits,

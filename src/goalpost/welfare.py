@@ -13,16 +13,23 @@ The lower-bound variant threads a third coordinate through the same
 recursion: ``eta``, how many agents must still improve.  Each transition
 subtracts the head count reaching the chosen lowest target, floored at 0;
 once ``eta`` reaches 0 the state is an unconstrained one.  So a single DP
-serves both: the welfare solve is its ``eta = 0`` layer, and unsatisfiable
-states carry -1.  Feasibility only gets harder as ``eta`` grows, so a budget
-layer stops at its first all-infeasible row.  It runs on the table's arrays
-in either dtype (int64 or exact object integers), with identical results.
+serves both: the welfare solve is its ``eta = 0`` layer.  An unsatisfiable
+state starts at the floor ``-1 - bound`` (the grid's bound, which no
+chain's credits exceed), so adding credits keeps it negative and feasibility
+stays "value >= 0" with no masking pass.  Feasibility only gets harder as
+``eta`` grows, so a budget layer stops at its first all-infeasible row.  It
+runs on the table's arrays in either dtype (int64 or exact object
+integers), with identical results.
 
-Each layer reads the credit table's band: for level ``i`` the candidates
-``j <= i + W`` are read cell by cell, and every ``j`` past the band shares
+Each layer reads the credit table's offset-major band: for level ``i`` the
+candidates ``j <= i + W`` form column ``i`` of a ``(W+1, m)`` candidate
+array, one contiguous row per offset, and every ``j`` past the band shares
 its row-0 credit and count, so one suffix maximum of
-``credit(0, j) + tail[j]`` per row ``eta`` serves every ``i``.  A layer costs
-O(m·W) instead of O(m²).
+``credit(0, j) + tail[j]`` per row ``eta`` fills the last row for every
+``i``.  One maximum over the rows gives each level's value, and the lowest
+offset reaching it its lowest target.  The columns are taken in blocks of
+about ``_BLOCK_CELLS`` cells, so the candidates stay in cache at any ``W``.
+A layer costs O(m·W) instead of O(m²).
 
 One driver, :func:`_solve_budgets`, serves every caller.  It runs the layers
 once, up to the largest budget asked for, holding only the value layer below
@@ -35,13 +42,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import _physical_memory, check_memory, refuses_exhaustion
-from .model import EMPTY_TARGETS, Instance, TargetSet, text_bytes, validate_instance
+from .model import (
+    EMPTY_TARGETS, Instance, TargetSet, integer_grid, text_bytes, validate_instance,
+)
 from .tables import ContributionTable
 
 
@@ -66,31 +75,80 @@ class BudgetCurve:
     min_k_for_max: int
 
 
+# Cells of one column block of a DP row's candidates, which stays in cache
+# however wide the band: a row is reduced one block of levels at a time.
+_BLOCK_CELLS = 1 << 17
+
+
+class _Band(NamedTuple):
+    """What every row of one DP run reads, formed once per run."""
+
+    credits: np.ndarray  # (W, m) offset-major credit band
+    counts: np.ndarray  # (W, m) offset-major head counts
+    credit0: np.ndarray
+    count0: np.ndarray
+    floor: object  # the value of an infeasible state
+    levels: np.ndarray  # 0..m-1
+    cols: np.ndarray  # [d, i]: level i + 1 + d of band cell (i, i + 1 + d)
+    past: np.ndarray  # the first level past each level's band
+    ranks: np.ndarray  # (W+1, 1): W + 1 - d for offset d, W standing for past the band
+    blocks: list[tuple[int, int]]  # level ranges of the column blocks
+    cand: np.ndarray  # scratch: one block's candidates,
+    index: Optional[np.ndarray]  # their gather index, when eta > 0
+    hits: np.ndarray  # and the ranks of those that reach the maximum
+
+
+def _windows(row: np.ndarray, w: int, m: int) -> np.ndarray:
+    """The read-only ``(w, m)`` view whose ``[d, i]`` is ``row[d + i]``."""
+    step = row.strides[0]
+    return as_strided(row, (w, m), (step, step), writeable=False)
+
+
 @refuses_exhaustion("the welfare DP")
 def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     """Budget layers up to k, one value layer held at a time.  A layer's
     ``[eta, i]`` is the best scaled improvement above level ``i`` when at
-    least ``eta`` agents must improve (-1 when impossible), and ends in ``W``
-    more columns of -1, the levels past the top that the top rows' band
-    reaches.  Returns each layer's root column ``[eta]`` and the choices:
+    least ``eta`` agents must improve, negative when that is impossible, and
+    ends in ``W`` more columns of infeasible states, the levels past the
+    top that the top rows' band reaches.  An infeasible state starts at
+    the floor ``-1 - bound``; a chain's credits are at most the grid's
+    bound, so it stays negative, and no masking pass is needed.  Returns
+    each layer's root column ``[eta]`` and the choices:
     ``choices[b - 1][eta, i]`` is the lowest target layer ``b`` places."""
     m, w = table.grid_size, table.width
-    # A choice is a level index, 4 bytes as int32; a value cell takes 8.
-    need = (n_lb + 1) * (4 * k * m + 8 * 2 * (m + w))
+    step = max(1, _BLOCK_CELLS // (w + 1))
+    span = min(step, m)  # the levels of the widest block
+    # A choice is a level index, 4 bytes as int32; a value cell takes 8, and
+    # a block's candidates, gather index and ranks at most three words a cell.
+    need = (n_lb + 1) * (4 * k * m + 8 * 2 * (m + w)) + 8 * 3 * (w + 1) * span
     check_memory(need, "the welfare DP's choices and value layers", _physical_memory())
-    cols = sliding_window_view(np.arange(1, m + w), w)[:m]  # band cell -> level
-    past = np.minimum(np.arange(m) + w + 1, m)  # first level past each band
-    prev = np.full((n_lb + 1, m + w), -1, dtype=table.credits.dtype)
+    dtype, rank = table.credits.dtype, np.min_scalar_type(w + 1)
+    band = _Band(
+        credits=table.credits.T,
+        counts=table.counts.T,
+        credit0=table.credit0,
+        count0=table.count0,
+        floor=-1 - integer_grid(table.instance).bound,
+        levels=np.arange(m),
+        cols=_windows(np.arange(1, m + w), w, m),
+        past=np.minimum(np.arange(m) + w + 1, m),
+        ranks=np.arange(w + 1, 0, -1, dtype=rank)[:, None],
+        blocks=[(a, min(a + step, m)) for a in range(0, m, step)],
+        cand=np.empty((w + 1) * span, dtype=dtype),
+        index=np.empty(w * span, dtype=np.intp) if n_lb else None,
+        hits=np.empty((w + 1) * span, dtype=rank),
+    )
+    prev = np.full((n_lb + 1, m + w), band.floor, dtype=dtype)
     prev[0, :m] = 0
     roots = [prev[:, 0].copy()]
     choices = []
     for _ in range(k):
-        cur = np.full_like(prev, -1)
+        cur = np.full_like(prev, band.floor)
         pick = np.zeros((n_lb + 1, m), dtype=np.int32)
         for eta in range(n_lb + 1):
-            cur[eta, :m], pick[eta] = _best_targets(table, prev, eta, cols, past)
+            _best_targets(band, prev, eta, cur[eta, :m], pick[eta])
             if cur[eta].max() < 0:
-                break  # more improvers are no easier: the rest stays -1
+                break  # more improvers are no easier: the rest stays infeasible
         cur[0, m - 1] = 0  # topmost level: nothing above it to place
         roots.append(cur[:, 0].copy())
         choices.append(pick)
@@ -98,32 +156,54 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     return roots, choices
 
 
-def _best_targets(table: ContributionTable, prev, eta: int, cols, past):
+def _best_targets(band: _Band, prev, eta: int, value, pick) -> None:
     """Row ``eta`` of a budget layer: for every level ``i``, the best
-    ``credit(i, j) + prev[eta - count(i, j), j]`` over ``j > i`` with a
-    feasible ``prev`` state, and its lowest ``j``.
+    ``credit(i, j) + prev[eta - count(i, j), j]`` over ``j > i`` into
+    ``value``, and its lowest ``j`` into ``pick``.
 
-    The band ``j <= i + W`` is read cell by cell.  Past it every row sees the
-    same row-0 candidates, so one suffix maximum serves them all; the band
-    comes first, so it wins ties."""
-    m, w = table.grid_size, table.width
-    levels = np.arange(m)
+    The candidates are ``(W+1, m)``, one row per band offset and a last row
+    for past the band.  Past it every level sees the same row-0 candidates,
+    so one suffix maximum serves them all.  Each block of levels takes one
+    maximum over its rows; the highest rank reaching it is the lowest
+    offset, the band before the suffix, so the lowest ``j``."""
+    w, m = band.credits.shape[0], value.shape[0]
+    levels = band.levels
     if eta:  # the state each head count leaves; row 0 stays in row 0
-        near = np.take(prev, np.maximum(eta - table.counts, 0) * prev.shape[1] + cols)
-        tail = prev[np.maximum(eta - table.count0, 0), levels]
+        tail = prev[np.maximum(eta - band.count0, 0), levels]
+        flat = prev.reshape(-1)
     else:
-        near, tail = sliding_window_view(prev[0, 1:], w)[:m], prev[0, :m]
-    cand = np.empty((m, w + 1), dtype=prev.dtype)
-    np.add(table.credits, near, out=cand[:, :w])
-    np.copyto(cand[:, :w], -1, where=near < 0)
-    far = np.where(tail >= 0, table.credit0 + tail, -1)
+        tail = prev[0, :m]
+        near = _windows(prev[0, 1:], w, m)
+    far = band.credit0 + tail
     # best[s]: the best row-0 candidate at level s or above; at[s]: its lowest level.
-    best = np.append(np.maximum.accumulate(far[::-1])[::-1], -1)
+    best = np.empty(m + 1, dtype=far.dtype)
+    best[m] = band.floor
+    np.maximum.accumulate(far[::-1], out=best[m - 1 :: -1])
+    at = np.empty(m + 1, dtype=levels.dtype)
+    at[m] = m
     record = np.where(far == best[:m], levels, m)
-    at = np.append(np.minimum.accumulate(record[::-1])[::-1], m)
-    cand[:, w] = best[past]
-    arg = cand.argmax(axis=1)
-    return cand[levels, arg], np.where(arg < w, levels + 1 + arg, at[past])
+    np.minimum.accumulate(record[::-1], out=at[m - 1 :: -1])
+    best, at = best[band.past], at[band.past]
+    for a, b in band.blocks:
+        size = b - a
+        cand = band.cand[: (w + 1) * size].reshape(w + 1, size)
+        if eta:
+            index = band.index[: w * size].reshape(w, size)
+            np.subtract(eta, band.counts[:, a:b], out=index)
+            np.maximum(index, 0, out=index)
+            np.multiply(index, prev.shape[1], out=index)
+            np.add(index, band.cols[:, a:b], out=index)
+            np.take(flat, index, out=cand[:w], mode="clip")
+            np.add(cand[:w], band.credits[:, a:b], out=cand[:w])
+        else:
+            np.add(band.credits[:, a:b], near[:, a:b], out=cand[:w])
+        cand[w] = best[a:b]
+        top = cand.max(axis=0, out=value[a:b])
+        hits = band.hits[: (w + 1) * size].reshape(w + 1, size)
+        np.equal(cand, top, out=hits, casting="unsafe")
+        np.multiply(hits, band.ranks, out=hits)
+        rank = hits.max(axis=0)  # W + 1 - d for the lowest offset d
+        pick[a:b] = np.where(rank > 1, levels[a:b] + (w + 2) - rank, at[a:b])
 
 
 def _reconstruct(

@@ -273,3 +273,54 @@ def test_frontier_points_past_physical_memory_are_refused(monkeypatch):
         pareto_frontier(inst, 3)
     monkeypatch.setattr(pareto, "_physical_memory", lambda: points)
     assert pareto_frontier(inst, 3) == frontier
+
+
+def test_band_gains_read_what_the_table_reads(rng):
+    from goalpost.pareto import band_gains
+
+    for _ in range(30):
+        inst = random_integral_instance(rng, max_agents=8, max_position=12, max_capacity=5)
+        for engine in ("numpy", "python"):
+            table = ContributionTable(inst, engine=engine)
+            gain = band_gains(table)
+            doubled = band_gains(table, lambda cell: tuple(2 * v for v in cell))
+            m = table.grid_size
+            for i in range(m):
+                for j in range(i + 1, m):
+                    cell = table.group_credit_scaled(i, j)
+                    assert gain(i, j) == cell
+                    assert doubled(i, j) == tuple(2 * v for v in cell)
+
+
+def test_frontier_dp_on_a_band_reader_holds_less_than_it_counts(monkeypatch):
+    from goalpost import pareto
+
+    # The largest count so far, and the most the peak held up to a count
+    # exceeded the counts before it; updated in place, so that recording
+    # them holds nothing that grows.
+    seen = [0, -1]
+
+    def counted(need, *_):
+        if seen[0]:
+            seen[1] = max(seen[1], tracemalloc.get_traced_memory()[1] - seen[0])
+        seen[0] = max(seen[0], need)
+
+    monkeypatch.setattr(pareto, "check_memory", counted)
+    rng = random.Random(13)
+    # The reader's lists are most of what is held with one group or many.
+    cases = [(1, 400, 4000, 20, 2), (3, 30, 90, 8, 3), (200, 10, 30, 4, 2)]
+    for g, n, max_position, max_capacity, k in cases:
+        inst = Instance(tuple(
+            Agent(rng.randint(0, max_position), rng.randint(1, max_capacity), i % g)
+            for i in range(n)), g)
+        table = ContributionTable(inst)
+        seen[:] = [0, -1]
+        tracemalloc.start()
+        try:
+            pareto.frontier_dp(table, k, pareto.band_gains(table))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < seen[0]
+        # The lists are formed after the first count, which covers them.
+        assert seen[1] < 0

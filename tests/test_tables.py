@@ -220,3 +220,24 @@ def test_a_table_that_cannot_fit_in_memory_is_refused(monkeypatch):
         max_total_improvement(inst, 2)
     monkeypatch.setattr(tables, "_physical_memory", lambda: None)
     assert ContributionTable(inst).width == 5
+
+
+@pytest.mark.parametrize("g", [1, 3])
+def test_bands_are_transposed_views_of_offset_major_arrays(rng, g):
+    for _ in range(10):
+        inst = Instance(tuple(
+            Agent(rng.randint(0, 40), rng.randint(0, 9), rng.randrange(g)) for _ in range(12)
+        ), g)
+        for engine in ("numpy", "python"):
+            table = ContributionTable(inst, engine=engine)
+            m, w = table.grid_size, table.width
+            assert table.credits.shape == table.counts.shape == (m, w)
+            assert table.group_credits.shape == (g, m, w)
+            # Offset d is one contiguous row of m levels.
+            assert table.credits.T.flags.c_contiguous and table.counts.T.flags.c_contiguous
+            assert table.group_credits.swapaxes(1, 2).flags.c_contiguous
+            # A cell past the top of the grid is 0.
+            past = np.add.outer(np.arange(m), np.arange(w)) >= m - 1
+            for band in (table.credits, table.counts, *table.group_credits):
+                assert not band[past].any()
+                assert not band.flags.writeable

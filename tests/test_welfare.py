@@ -2,6 +2,7 @@ import random
 import tracemalloc
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from goalpost import (
@@ -335,3 +336,142 @@ def test_dp_rows_hold_two_value_layers_besides_the_choices():
     # Two value layers, the roots and the scratch of one row; every layer
     # kept would add k more.
     assert peak < choices + 5 * layer
+
+
+def _plain_solve(table, k, n_lb):
+    """The budget recursion over every pair ``i < j``, O(m²) a row and
+    O(k·m²) a lower bound: None marks an infeasible state, and a tie goes to
+    the lowest ``j``.  Returns the value and served targets with at most
+    ``k`` targets and at least ``n_lb`` improvers, or None."""
+    m = table.grid_size
+    prev = [[0 if eta == 0 else None] * m for eta in range(n_lb + 1)]
+    picks = []
+    for _ in range(k):
+        cur = [[None] * m for _ in range(n_lb + 1)]
+        pick = [[None] * m for _ in range(n_lb + 1)]
+        for eta in range(n_lb + 1):
+            for i in range(m):
+                for j in range(i + 1, m):
+                    below = prev[max(eta - table.reach_count(i, j), 0)][j]
+                    if below is None:
+                        continue
+                    value = table.credit_scaled(i, j) + below
+                    if cur[eta][i] is None or value > cur[eta][i]:
+                        cur[eta][i], pick[eta][i] = value, j
+        cur[0][m - 1] = 0  # the top level: nothing above it to place
+        picks.append(pick)
+        prev = cur
+    if prev[n_lb][0] is None:
+        return None
+    chain, i, eta = [], 0, n_lb
+    for budget in range(k, 0, -1):
+        if i == m - 1:
+            break
+        j = picks[budget - 1][eta][i]
+        eta = max(eta - table.reach_count(i, j), 0)
+        chain.append(j)
+        i = j
+    return F(prev[n_lb][0], table.scale), table.served_targets(chain)
+
+
+def _assert_matches_the_plain_recursion(inst, budgets):
+    for engine in ("numpy", "python"):
+        table = ContributionTable(inst, engine=engine)
+        for n_lb in range(4):
+            solved = welfare._solve_budgets(table, budgets, n_lb)
+            for b, solution in zip(budgets, solved):
+                got = None if solution is None else (solution.value, solution.targets)
+                assert got == _plain_solve(table, b, n_lb), (engine, b, n_lb)
+
+
+def test_solve_budgets_match_the_plain_recursion_on_both_engines(rng):
+    for _ in range(25):
+        inst = random_integral_instance(rng, max_agents=7, max_position=10, max_capacity=4)
+        m = len(potential_targets(inst))
+        _assert_matches_the_plain_recursion(inst, [0, 1, 2, 3, m - 1, m + 1])
+
+
+@pytest.mark.parametrize("inst, width", [
+    # Every capacity 0: W = 0, and the candidates are the suffix alone.
+    (Instance((Agent(0, 0), Agent(2, 0), Agent(2, 0), Agent(5, 0)), 1), 0),
+    # One agent spans the grid: W = m - 1, and no level is past any band.
+    (Instance((Agent(0, 12), Agent(1, 2), Agent(4, 1), Agent(4, 3), Agent(9, 1)), 1), -1),
+    # Common capacity, agents stacked on few positions: ties everywhere.
+    (Instance.common([0, 0, 1, 1, 2, 2, 3, 3, 4, 4], 1), 1),
+    (Instance.common([0, 0, 0, 2, 2, 2, 4, 4, 4, 6], 2), 1),
+])
+def test_solve_budgets_match_the_plain_recursion_at_the_band_edges(inst, width):
+    m = ContributionTable(inst).grid_size
+    assert ContributionTable(inst).width == width % m
+    _assert_matches_the_plain_recursion(inst, list(range(m + 1)))
+
+
+def test_tie_heavy_common_instances_match_the_plain_recursion(rng):
+    from helpers import random_common_instance
+
+    for _ in range(15):
+        inst = random_common_instance(rng, 1, max_agents=10, max_position=4, max_capacity=2)
+        m = len(potential_targets(inst))
+        _assert_matches_the_plain_recursion(inst, [1, 2, 3, m])
+
+
+@pytest.mark.parametrize("cells", [1, 2, 5, 17])
+def test_column_blocks_leave_the_dp_rows_unchanged(monkeypatch, rng, cells):
+    for _ in range(10):
+        inst = random_integral_instance(rng, max_agents=9, max_groups=1,
+                                        max_position=30, max_capacity=12)
+        for engine in ("numpy", "python"):
+            table = ContributionTable(inst, engine=engine)
+            for n_lb in (0, 2):
+                whole = welfare._dp_rows(table, 4, n_lb)
+                monkeypatch.setattr(welfare, "_BLOCK_CELLS", cells)
+                blocked = welfare._dp_rows(table, 4, n_lb)
+                monkeypatch.undo()
+                for expected, got in zip(whole, blocked):
+                    assert len(expected) == len(got)
+                    for a, b in zip(expected, got):
+                        assert a.dtype == b.dtype and np.array_equal(a, b)
+                assert all(pick.dtype == np.int32 for pick in blocked[1])
+
+
+def test_an_int64_bound_just_under_the_guard_never_wraps_the_floor():
+    from goalpost.model import INT64_SAFE, integer_grid
+
+    top = INT64_SAFE - 1
+    cases = [
+        # The top level sits just under the guard.
+        Instance((Agent(top - 9, 4), Agent(top - 7, 7), Agent(top - 3, 2)), 1),
+        # The capacities sum to just under it: one chain can credit nearly all.
+        Instance((Agent(0, top // 3), Agent(5, top // 3), Agent(top // 3, top // 3)), 1),
+    ]
+    for inst in cases:
+        assert integer_grid(inst).bound > INT64_SAFE - 2**32
+        fast = ContributionTable(inst, engine="numpy")
+        exact = ContributionTable(inst, engine="python")
+        assert fast.credits.dtype == np.int64
+        m = fast.grid_size
+        for n_lb in range(inst.size + 2):
+            # The exact engine holds the same floor, so a wrap would show.
+            roots, picks = welfare._dp_rows(fast, m - 1, n_lb)
+            exact_roots, exact_picks = welfare._dp_rows(exact, m - 1, n_lb)
+            assert [r.tolist() for r in roots] == [r.tolist() for r in exact_roots]
+            assert all(np.array_equal(a, b) for a, b in zip(picks, exact_picks))
+            budgets = list(range(m + 1))
+            assert (welfare._solve_budgets(fast, budgets, n_lb)
+                    == welfare._solve_budgets(exact, budgets, n_lb))
+            assert [None if s is None else (s.value, s.targets)
+                    for s in welfare._solve_budgets(fast, budgets[:3], n_lb)] == [
+                        _plain_solve(exact, b, n_lb) for b in budgets[:3]]
+
+
+def test_the_exact_engine_floor_sits_below_every_credit_sum():
+    # Credits past 2^62: no fixed floor would stay below their sums.
+    big = 2**70
+    inst = Instance((Agent(0, big), Agent(3, big), Agent(big, 2 * big), Agent(5 * big, 1)), 1)
+    table = ContributionTable(inst)
+    assert table.engine == "python"
+    budgets = list(range(table.grid_size + 1))
+    for n_lb in range(inst.size + 2):
+        solved = welfare._solve_budgets(table, budgets, n_lb)
+        assert [None if s is None else (s.value, s.targets) for s in solved] == [
+            _plain_solve(table, b, n_lb) for b in budgets]
