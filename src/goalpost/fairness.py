@@ -170,10 +170,7 @@ def local_reopt(
         1,
         CapacityModel.COMMON,
     )
-    solution = max_total_improvement(sub, 1)
-    if not solution.targets:
-        return tau
-    (level,) = solution.targets.levels
+    (level,) = max_total_improvement(sub, 1).targets.levels
     return level
 
 

@@ -113,13 +113,7 @@ class MaxMinApproximation:
     table_peak: int
 
 
-def fptas_max_min(
-    instance: Instance,
-    k: int,
-    epsilon: RationalLike,
-    *,
-    max_subsets: Optional[int] = None,
-) -> MaxMinApproximation:
+def fptas_max_min(instance: Instance, k: int, epsilon: RationalLike) -> MaxMinApproximation:
     """A target set whose worst-group welfare is within (1 - epsilon) of the
     best achievable with at most ``k`` targets; exact when ``k`` is below the
     group count."""
@@ -129,7 +123,7 @@ def fptas_max_min(
     if k < instance.num_groups:
         # The exact branch reads no rounding step, so it forms none.
         _checked(instance, epsilon)
-        value, targets = max_min_witness(instance, k, max_subsets)
+        value, targets = max_min_witness(instance, k)
         welfare = improvement_report(instance, targets).group_totals
         return MaxMinApproximation(value, targets, welfare, 0)
 

@@ -157,17 +157,16 @@ class Instance:
         positions: Iterable[RationalLike],
         capacity: RationalLike,
         groups: Optional[Iterable[int]] = None,
-        num_groups: Optional[int] = None,
     ) -> "Instance":
-        """Build a common-capacity instance from bare positions."""
+        """Build a common-capacity instance from bare positions; the group
+        count is one more than the largest label (1 with no agents)."""
         cap = rational(capacity)
         pos = [rational(p) for p in positions]
         grp = list(groups) if groups is not None else [0] * len(pos)
         if len(grp) != len(pos):
             raise ValueError("groups and positions must have equal length")
-        g = num_groups if num_groups is not None else (max(grp) + 1 if grp else 1)
         agents = tuple(Agent(p, cap, gi) for p, gi in zip(pos, grp))
-        return cls(agents, g, CapacityModel.COMMON)
+        return cls(agents, max(grp) + 1 if grp else 1, CapacityModel.COMMON)
 
     @property
     def size(self) -> int:

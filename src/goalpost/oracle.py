@@ -5,7 +5,9 @@ evaluates them with the behavior rule, so the results are correct by
 definition.  The enumeration size is checked up front against a hard cap
 (default 2e6 subsets, overridable via the GOALPOST_MAX_SUBSETS environment
 variable) and refused loudly rather than silently truncated: a lying oracle
-is worse than none.
+is worse than none.  Of the entry points, only :func:`brute_force_optimum`
+and :func:`max_min_witness` (and ``learning.deviation_experiment``) take a
+per-call ``max_subsets`` that overrides the environment.
 
 Subsets are enumerated as grid-index arrays, smallest size first and
 lexicographic within a size, and evaluated in fixed-size chunks by
@@ -103,13 +105,11 @@ def evaluated_subsets(
         yield sets, batch_group_totals(instance, grid, sets)
 
 
-def iter_candidate_sets(
-    instance: Instance, k: int, max_subsets: Optional[int] = None
-) -> Iterator[TargetSet]:
+def iter_candidate_sets(instance: Instance, k: int) -> Iterator[TargetSet]:
     """All subsets of the potential-target grid of size 0..k, smallest first."""
     validate_instance(instance)
     grid = integer_grid(instance)
-    for sets in _index_chunks(len(grid.levels), k, _CHUNK_CELLS, max_subsets, 0):
+    for sets in _index_chunks(len(grid.levels), k, _CHUNK_CELLS, None, 0):
         for row in sets.tolist():
             yield _target_set(grid, row)
 
@@ -144,14 +144,12 @@ def brute_force_optimum(
     return DpSolution(*_best(instance, k, max_subsets, lambda t: t.sum(axis=1)))
 
 
-def brute_force_pareto(
-    instance: Instance, k: int, max_subsets: Optional[int] = None
-) -> ParetoFrontier:
+def brute_force_pareto(instance: Instance, k: int) -> ParetoFrontier:
     """Exhaustive non-dominated group-welfare tuples, each with a witness set."""
     validate_instance(instance)
     grid = integer_grid(instance)
     achieved: dict[tuple[int, ...], list[int]] = {}
-    for sets, totals in evaluated_subsets(instance, grid, k, max_subsets):
+    for sets, totals in evaluated_subsets(instance, grid, k):
         for row, welfare in enumerate(map(tuple, totals.tolist())):
             if welfare not in achieved:
                 # A copy, so that no chunk outlives its turn.
@@ -173,8 +171,6 @@ def max_min_witness(
     return _best(instance, k, max_subsets, lambda t: t.min(axis=1))
 
 
-def brute_force_max_min(
-    instance: Instance, k: int, max_subsets: Optional[int] = None
-) -> Fraction:
+def brute_force_max_min(instance: Instance, k: int) -> Fraction:
     """Exhaustive maximum over target sets of the minimum group welfare."""
-    return max_min_witness(instance, k, max_subsets)[0]
+    return max_min_witness(instance, k)[0]

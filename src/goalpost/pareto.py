@@ -19,8 +19,8 @@ they stay Python lists: numpy's per-call cost would lose at that size.
 Pruning is a skyline scan (:func:`prune_dominated`).  A state's candidates
 are sorted once in descending order; then every earlier tuple is at least
 as large in the first group, and a tuple is dominated exactly when an
-earlier kept one is weakly larger in every other group.  With two groups
-that test is a running maximum, and with three a staircase of the kept
+earlier kept one is weakly larger in every other group.  With one or two
+groups that test is a running maximum, and with three a staircase of the kept
 (second, third) pairs searched with ``bisect``, so a state of ``c``
 candidates costs O(c log c) instead of O(c²) tuple comparisons; four or
 more groups take the guard-bit test against each kept tuple.
@@ -151,14 +151,10 @@ def _skyline(ranked: list[tuple[int, object]], layout: _Layout) -> list[tuple[in
     repeats a kept key) exactly when some kept key is weakly larger on all
     the remaining coordinates.  Of equal keys the first is kept.
     """
-    if not ranked:
-        return []
     g, b, mask = layout.g, layout.b, layout.mask
-    if g == 1:
-        return ranked[:1]
     kept = []
-    if g == 2:
-        # Running maximum of the second coordinate.
+    if g <= 2:
+        # Running maximum of the last coordinate (of the whole key, at g = 1).
         best = -1
         for pair in ranked:
             y = pair[0] & mask
@@ -342,14 +338,15 @@ def frontier_dp(
     base: State = [(0, None)]
     # An empty grid still has the empty chain at its root.
     prev = [base] * max(m, 1)
-    # layers[t][j]: the back-pointers stored in state j of layer t.
+    # layers[t][j]: the back-pointers stored in state j of layer t; ``stored``
+    # counts them and their lists.
     layers: list[list[list[Link]]] = []
     stored = peak = 0
     # No chain holds more than m - 1 targets: every later layer repeats.
     for _ in range(depth):
         sizes = [len(state) for state in prev]
-        stored += sum(sizes)
-        held = gains + stored * _LINK + sum(sizes) * (entry + _SOURCE)
+        stored += sum(sizes) * _LINK + len(sizes) * _LIST
+        held = gains + stored + sum(sizes) * (entry + _SOURCE)
         hold(held)
         layers.append([[link for _, link in state] for state in prev])
         # Each tuple of state j paired with its back-pointer (j, index): what
@@ -396,8 +393,10 @@ def frontier_dp(
             link = links[j][index]
         return tuple(out)
 
-    # The root's keys as tuples, read like the gains.
-    hold(gains + stored * _LINK + len(prev[0]) * (entry + _READ + g * _READ_COORDINATE))
+    # The root's keys as tuples, read like the gains, once the other states
+    # are released.
+    del prev[1:]
+    hold(gains + stored + len(prev[0]) * (entry + _READ + g * _READ_COORDINATE))
     return {layout.unpack(key): chain(link) for key, link in prev[0]}, peak
 
 
@@ -451,13 +450,11 @@ def _points_bytes(table: ContributionTable, root: Mapping[tuple, tuple]) -> int:
     return read + len(root) * (_POINT + g * _SLOT + nonzero * fraction) + targets * fraction
 
 
-def max_min_solution(
-    instance: Instance, k: int, *, table: Optional[ContributionTable] = None
-) -> tuple[Fraction, FrontierPoint]:
+def max_min_solution(instance: Instance, k: int) -> tuple[Fraction, FrontierPoint]:
     """The frontier point maximizing the worst group's welfare.
 
     Ties resolve to the lexicographically smallest welfare tuple.
     """
-    frontier = pareto_frontier(instance, k, table=table)
+    frontier = pareto_frontier(instance, k)
     best = max(frontier.points, key=lambda point: point.min_welfare)
     return best.min_welfare, best

@@ -224,9 +224,6 @@ class ContributionTable:
     def group_credit(self, i: int, j: int) -> tuple[Fraction, ...]:
         return tuple(Fraction(v, self.scale) for v in self.group_credit_scaled(i, j))
 
-    def to_fraction(self, scaled: int) -> Fraction:
-        return Fraction(int(scaled), self.scale)
-
     def served_targets(self, chain: Sequence[int]) -> TargetSet:
         """Levels of a DP index chain read up from level 0, dropping the
         targets that no agent moves to."""

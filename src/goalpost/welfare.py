@@ -238,7 +238,7 @@ def _solve_budgets(
     # At n_lb = 0 the two-argument form, which a test stands in for.
     roots, choices = _dp_rows(table, top, n_lb) if n_lb else _dp_rows(table, top)
     solved = {
-        b: DpSolution(table.to_fraction(int(roots[b][n_lb])),
+        b: DpSolution(Fraction(int(roots[b][n_lb]), table.scale),
                       _reconstruct(table, choices, b, n_lb))
         for b in set(clamped)
         if roots[b][n_lb] >= 0

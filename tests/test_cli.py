@@ -193,6 +193,23 @@ def test_fair_approx_with_trace(capsys):
     ]
 
 
+def test_fair_approx_with_zero_capacity(capsys, tmp_path):
+    instance = tmp_path / "flat.json"
+    instance.write_text(json.dumps({"agents": [
+        {"position": 0, "capacity": 0, "group": 0},
+        {"position": 3, "capacity": 0, "group": 1},
+    ], "num_groups": 2, "capacity_model": "common"}))
+    code, payload = run_json(
+        capsys, "fair-approx", "--instance", str(instance), "--k", "2"
+    )
+    assert code == 0
+    assert payload["targets"] == []
+    assert payload["alpha_k"] == payload["alpha_ceil"] == "1"
+    trace = payload["trace"]
+    assert trace.pop("split_budget") == 1
+    assert all(step in ([], [[], []]) for step in trace.values())
+
+
 def test_factor_command(capsys):
     code, payload = run_json(
         capsys, "factor", "--instance", INTERFERENCE, "--k", "2"

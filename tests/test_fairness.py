@@ -190,6 +190,20 @@ def test_pipeline_on_interference_instance():
     assert trace.step3_localized == (TargetSet((8,)), TargetSet((11,)))
 
 
+def test_pipeline_with_zero_capacity_places_nothing():
+    # Nobody can move: no group earns anything alone, so no step keeps a
+    # target and every group is fully served by the empty set.
+    inst = Instance.common([0, 3, F(1, 2), 5, 2], 0, groups=[0, 1, 1, 2, 0])
+    trace = approx_solution(inst, 4)
+    assert trace.targets == TargetSet(())
+    assert trace.alpha_k == trace.alpha_ceil == 1
+    for step in (trace.step1_isolated, trace.step1_spaced, trace.step2_sparse,
+                 trace.step3_localized):
+        assert step == (TargetSet(()),) * 3
+    assert trace.survivors == ((), (), ())
+    assert trace.step4_parts == ()
+
+
 def test_pipeline_rejects_individualized_capacities():
     inst = Instance((Agent(0, F(1, 10), 0), Agent(0, 1, 1)), 2)
     with pytest.raises(IndividualizedCapacityUnsupported):

@@ -324,3 +324,29 @@ def test_frontier_dp_on_a_band_reader_holds_less_than_it_counts(monkeypatch):
         assert peak < seen[0]
         # The lists are formed after the first count, which covers them.
         assert seen[1] < 0
+
+
+def test_frontier_dp_holds_no_more_than_any_count(monkeypatch):
+    from goalpost import pareto
+
+    # The most memory traced past a count when it is taken; updated in
+    # place, so that recording it holds nothing that grows.
+    short = [0]
+
+    def counted(need, *_):
+        short[0] = max(short[0], tracemalloc.get_traced_memory()[0] - need)
+
+    monkeypatch.setattr(pareto, "check_memory", counted)
+    rng = random.Random(13)
+    inst = Instance(tuple(Agent(rng.randint(0, 4000), rng.randint(1, 20), 0)
+                          for _ in range(400)), 1)
+    table = ContributionTable(inst)
+    assert table.grid_size == 723
+    tracemalloc.start()
+    try:
+        pareto.frontier_dp(table, 2, pareto.band_gains(table))
+    finally:
+        tracemalloc.stop()
+    # The last count, at the root, covers the stored back-pointer lists and
+    # comes after the last layer's other states are released.
+    assert short[0] == 0
