@@ -34,6 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import inf
 from typing import Optional, Sequence
 
 from .errors import (
@@ -46,7 +47,6 @@ from .errors import (
 from .model import (
     Agent,
     CapacityModel,
-    EMPTY_TARGETS,
     ImprovementReport,
     Instance,
     IntegerGrid,
@@ -201,32 +201,26 @@ def merge_parts(
     union_targets: TargetSet, delta: Fraction, g: int
 ) -> tuple[MergePart, ...]:
     """The endpoint partition behind :func:`resolve_interference`, kept for
-    tracing and invariant checks."""
+    tracing and invariant checks.
+
+    One pass over the levels: each window start ``level - delta`` joins the
+    current run while it lies within ``delta / g`` of the run's last start,
+    and opens a new run otherwise.  Each run is placed at its first start
+    plus ``delta``, capped at the next run's first start."""
     if not union_targets:
         raise ValueError("union_targets must be nonempty")
     if delta <= 0:
         raise ValueError("delta must be positive")
     gap = delta / g
-    starts = [level - delta for level in union_targets.levels]
-    runs: list[list[int]] = [[0]]
-    for idx in range(1, len(starts)):
-        if starts[idx] - starts[idx - 1] < gap:
-            runs[-1].append(idx)
+    runs: list[list[Fraction]] = []
+    for level in union_targets.levels:
+        start = level - delta
+        if runs and start - runs[-1][-1] < gap:
+            runs[-1].append(start)
         else:
-            runs.append([idx])
-    parts = []
-    for run_no, run in enumerate(runs):
-        first = run[0]
-        original = union_targets.levels[first]
-        if run_no + 1 < len(runs):
-            next_start = starts[runs[run_no + 1][0]]
-            placed = min(original, next_start)
-        else:
-            placed = original
-        parts.append(
-            MergePart(tuple(starts[idx] for idx in run), placed)
-        )
-    return tuple(parts)
+            runs.append([start])
+    caps = [run[0] for run in runs[1:]] + [inf]
+    return tuple(MergePart(tuple(run), min(run[0] + delta, cap)) for run, cap in zip(runs, caps))
 
 
 @dataclass(frozen=True)
@@ -303,12 +297,8 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
         )))
 
     union = TargetSet(tuple(v for ts in localized for v in ts.levels))
-    if union:
-        parts = merge_parts(union, delta, g)
-        final = TargetSet(tuple(p.placed for p in parts))
-    else:
-        parts = ()
-        final = EMPTY_TARGETS
+    parts = merge_parts(union, delta, g) if union else ()
+    final = TargetSet(tuple(p.placed for p in parts))
     assert len(final) <= k
 
     report = improvement_report(instance, final)

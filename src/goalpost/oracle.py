@@ -38,7 +38,7 @@ from .model import (
     integer_grid,
     validate_instance,
 )
-from .pareto import FrontierPoint, ParetoFrontier, prune_dominated
+from .pareto import ParetoFrontier, _frontier, prune_dominated
 from .welfare import DpSolution
 
 DEFAULT_MAX_SUBSETS = 2_000_000
@@ -154,13 +154,8 @@ def brute_force_pareto(instance: Instance, k: int) -> ParetoFrontier:
             if welfare not in achieved:
                 # A copy, so that no chunk outlives its turn.
                 achieved[welfare] = sets[row].tolist()
-    points = tuple(
-        FrontierPoint(
-            tuple(Fraction(w, grid.scale) for w in welfare), _target_set(grid, row)
-        )
-        for welfare, row in prune_dominated(achieved)
-    )
-    return ParetoFrontier(points, instance.num_groups)
+    pairs = ((welfare, _target_set(grid, row)) for welfare, row in prune_dominated(achieved))
+    return _frontier(pairs, grid.scale, instance.num_groups)
 
 
 def max_min_witness(

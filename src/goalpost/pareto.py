@@ -94,7 +94,7 @@ class _Layout:
     exactly when ``p >= q`` in every coordinate.
     """
 
-    __slots__ = ("g", "b", "mask", "ones", "guards")
+    __slots__ = ("g", "b", "mask", "guards")
 
     def __init__(self, g: int, top: int):
         # The narrowest whole number of bytes with ``top`` below its guard.
@@ -102,22 +102,19 @@ class _Layout:
         self.mask = (1 << self.b) - 1
         field = 1 << self.b - 1
         self.guards = int.from_bytes(field.to_bytes(self.b // 8, "big") * g, "big")
-        self.ones = self.guards >> self.b - 1
 
-    def pack(self, tuples: Sequence[Sequence[int]], low: int = 0) -> list[int]:
-        """The key of each tuple less ``low`` (each coordinate then in the
-        field): shifts for up to three groups, bytes for more."""
-        b, g, shift = self.b, self.g, low * self.ones
+    def pack(self, tuples: Sequence[Sequence[int]]) -> list[int]:
+        """The key of each tuple: shifts for up to three groups, bytes for
+        more."""
+        b, g = self.b, self.g
         if g == 1:
-            return [a - low for a, in tuples]
+            return [a for a, in tuples]
         if g == 2:
-            return [(a << b) + c - shift for a, c in tuples]
+            return [(a << b) + c for a, c in tuples]
         if g == 3:
-            return [(((a << b) + c) << b) + d - shift for a, c, d in tuples]
+            return [(((a << b) + c) << b) + d for a, c, d in tuples]
         # Not one shift of a growing int per field: O(g) a key.
         n = b // 8
-        if low:
-            tuples = (map(low.__rsub__, values) for values in tuples)
         return [
             int.from_bytes(b"".join(map(int.to_bytes, values, repeat(n), repeat("big"))), "big")
             for values in tuples
@@ -207,16 +204,19 @@ def _pruned(candidates: _Candidates) -> list[tuple[int, object]]:
 def prune_dominated(candidates: Mapping[tuple, object]) -> list[tuple[tuple, object]]:
     """Keep the non-dominated keys (with payloads), sorted lexicographically.
 
-    The keys are shifted by their least coordinate, packed (:class:`_Layout`)
-    and pruned by the skyline scan of the frontier DP; only the kept keys
-    are unpacked.
+    The keys are packed (:class:`_Layout`) and pruned by the skyline scan
+    of the frontier DP; only the kept keys are unpacked.  The packing takes
+    non-negative coordinates, so keys with a negative one are first shifted
+    by the least: dominance and order do not change under a common shift.
     """
     if not candidates:
         return []
-    low = min(chain.from_iterable(candidates))
-    top = max(chain.from_iterable(candidates)) - low
-    layout = _Layout(len(next(iter(candidates))), top)
-    keys = layout.pack(list(candidates), low)
+    tuples = list(candidates)
+    low = min(min(chain.from_iterable(tuples)), 0)
+    if low:
+        tuples = [tuple(v - low for v in values) for values in tuples]
+    layout = _Layout(len(tuples[0]), max(chain.from_iterable(tuples)))
+    keys = layout.pack(tuples)
     kept = _pruned(_Candidates(layout, zip(keys, candidates.values())))
     return [(tuple(v + low for v in layout.unpack(key)), payload) for key, payload in kept]
 
@@ -303,8 +303,9 @@ def frontier_dp(
 
     Raises ``SearchSpaceTooLarge`` before what it holds (the lists a
     :func:`band_gains` reader keeps, counted whatever ``gain`` is; the gains
-    as read, then the packed gains, the entries of the states and the stored
-    back-pointers) would exceed physical memory, or when an allocation fails
+    as read, then the packed gains, the entries of the states, the stored
+    back-pointers and the freed tuples CPython keeps for reuse) would exceed
+    physical memory, or when an allocation fails
     anyway (under an address-space limit below physical memory).
     """
     m, w, g = table.grid_size, table.width, table.instance.num_groups
@@ -329,8 +330,12 @@ def frontier_dp(
     layout = _Layout(g, top * max(depth, 1))
     key_bytes = _int_bytes(g * layout.b)
     entry, candidate = key_bytes + _ENTRY, key_bytes + _CANDIDATE
-    # From here on ``gains`` is what every count starts from.
-    gains = lists + cells * (key_bytes + _SLOT)
+    # From here on ``gains`` is what every count starts from.  CPython keeps
+    # up to 2,000 freed tuples of each length up to 20 on a free list, still
+    # allocated: of the tuples read, once packed, and of the pairs that the
+    # layers form and release.
+    gains = lists + cells * (key_bytes + _SLOT) + 2000 * _PAIR
+    gains += min(cells, 2000) * (_TUPLE + g * _SLOT) if g <= 20 else 0
     hold(gains + read)
     for row in rows:
         row[:] = layout.pack(row)
@@ -416,16 +421,21 @@ def pareto_frontier(
         table = ContributionTable(instance)
     root, _ = frontier_dp(table, k, band_gains(table))
     check_memory(_points_bytes(table, root), "the frontier's points", _physical_memory())
+    pairs = ((welfare, table.served_targets(chain)) for welfare, chain in root.items())
+    return _frontier(pairs, table.scale, instance.num_groups)
+
+
+def _frontier(
+    pairs: Iterable[tuple[Sequence[int], TargetSet]], scale: int, num_groups: int
+) -> ParetoFrontier:
+    """The frontier of ``(welfare tuple scaled by scale, witness)`` pairs, in
+    their order."""
     # Zero coordinates (most of them, with many groups) share one Fraction.
     zero = Fraction(0)
-    points = tuple(
-        FrontierPoint(
-            tuple(Fraction(w, table.scale) if w else zero for w in welfare),
-            table.served_targets(chain),
-        )
-        for welfare, chain in root.items()
-    )
-    return ParetoFrontier(points, instance.num_groups)
+    return ParetoFrontier(tuple(
+        FrontierPoint(tuple(Fraction(w, scale) if w else zero for w in welfare), targets)
+        for welfare, targets in pairs
+    ), num_groups)
 
 
 # A point with its welfare and target tuples and its TargetSet, besides their

@@ -23,6 +23,7 @@ from goalpost import (
     ContributionTable,
     FptasParams,
     Instance,
+    TargetSet,
     approx_solution,
     brute_force_max_min,
     brute_force_optimum,
@@ -34,6 +35,7 @@ from goalpost import (
     optimal_target_count_sweep,
     pareto_frontier,
 )
+from goalpost.fairness import merge_parts
 from goalpost.pareto import frontier_dp, prune_dominated
 from helpers import chain_frontier_dp, pairwise_prune, random_integral_instance
 
@@ -254,6 +256,27 @@ def test_fair_approx_keeps_each_group_a_share_of_its_split_budget_optimum(inst, 
         solo = brute_force_optimum(inst.isolate_group(gi), split).value
         assert 16 * g * g * welfare[gi] >= solo
     assert trace.alpha_ceil >= F(1, 16 * g * g)
+
+
+@given(
+    st.lists(st.fractions(0, 20, max_denominator=4), min_size=1, max_size=8),
+    st.fractions(F(1, 2), 4, max_denominator=4),
+    st.integers(2, 4),
+)
+@settings(max_examples=100, deadline=None)
+def test_step_4_runs_the_window_starts_and_caps_each_run_at_the_next(levels, delta, g):
+    union = TargetSet(tuple(levels))
+    parts = merge_parts(union, delta, g)
+    starts = [part.points for part in parts]
+    assert [s for run in starts for s in run] == [level - delta for level in union.levels]
+    for run in starts:
+        assert all(b - a < delta / g for a, b in zip(run, run[1:]))
+    for run, after in zip(starts, starts[1:]):
+        assert after[0] - run[-1] >= delta / g
+    caps = [after[0] for after in starts[1:]]
+    assert [p.placed for p in parts[:-1]] == [
+        min(run[0] + delta, cap) for run, cap in zip(starts, caps)]
+    assert parts[-1].placed == starts[-1][0] + delta
 
 
 @st.composite

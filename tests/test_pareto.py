@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -350,3 +351,36 @@ def test_frontier_dp_holds_no_more_than_any_count(monkeypatch):
     # The last count, at the root, covers the stored back-pointer lists and
     # comes after the last layer's other states are released.
     assert short[0] == 0
+
+
+def test_frontier_dp_with_three_or_twenty_groups_holds_no_more_than_any_count(monkeypatch):
+    from goalpost import pareto
+
+    # As above, with more groups.  CPython keeps up to 2,000 freed tuples of
+    # each length up to 20 for reuse, still allocated: the pairs the layers
+    # release, and the read gains once packed (more than 2,000 of them in
+    # the one-layer cases).
+    short = [0]
+
+    def counted(need, *_):
+        short[0] = max(short[0], tracemalloc.get_traced_memory()[0] - need)
+
+    monkeypatch.setattr(pareto, "check_memory", counted)
+    cases = [(3, 30, 90, 8, 3, 42), (3, 100, 300, 30, 1, 144), (20, 100, 300, 30, 1, 144)]
+    for g, n, max_position, max_capacity, k, m in cases:
+        rng = random.Random(13)
+        inst = Instance(tuple(
+            Agent(rng.randint(0, max_position), rng.randint(1, max_capacity), i % g)
+            for i in range(n)), g)
+        table = ContributionTable(inst)
+        assert table.grid_size == m
+        short[0] = 0
+        # A full collection empties those free lists, so the run starts from
+        # none: every tuple that it forms is traced, whatever ran before.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            pareto.frontier_dp(table, k, pareto.band_gains(table))
+        finally:
+            tracemalloc.stop()
+        assert short[0] == 0, (g, n)
