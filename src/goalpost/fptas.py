@@ -104,7 +104,7 @@ class MaxMinApproximation:
 
     ``rounded_welfare`` is the stored per-group tuple the witness was chosen
     by (equal to the exact tuple on the small-budget branch), and
-    ``table_peak`` the largest per-state tuple set seen; both are diagnostics.
+    ``table_peak`` the largest per-state tuple set formed; both are diagnostics.
     """
 
     value: Fraction

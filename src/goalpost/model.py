@@ -69,22 +69,25 @@ def rational(value: RationalLike) -> Fraction:
     Decimal strings are accepted ("1.5", "1e-3"), but not one whose
     exponent exceeds 4300 in magnitude: ``Fraction`` would expand it to a
     power of ten, in time that grows with the exponent."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, bool):
-        raise TypeError("bool is not a rational value")
+    # Text first: a str is tested by its type, while ``Fraction``'s test
+    # goes through its abstract base class.
     if isinstance(value, str):
         # Plain digits, or digits "/" digits: the same value as Fraction's
         # own parse (its \d is str.isdecimal's set), without its regex.
         num, slash, den = value.partition("/")
         if num.isdecimal() and (den.isdecimal() or not slash):
             return Fraction(int(num), int(den) if slash else 1)
-    if isinstance(value, str) and ("e" in value or "E" in value):
-        exponent = _EXPONENT.search(value)
-        digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
-        if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
-            raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in {value[:40]!r}")
-    if isinstance(value, (int, str)):
+        if "e" in value or "E" in value:
+            exponent = _EXPONENT.search(value)
+            digits = exponent.group(1).replace("_", "").lstrip("0") if exponent else ""
+            if len(digits) > len(str(_MAX_EXPONENT)) or int(digits or 0) > _MAX_EXPONENT:
+                raise ValueError(f"decimal exponent beyond {_MAX_EXPONENT} in {value[:40]!r}")
+        return Fraction(value)
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, bool):
+        raise TypeError("bool is not a rational value")
+    if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"cannot interpret {value!r} as a rational number")
 

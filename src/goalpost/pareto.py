@@ -37,7 +37,9 @@ both read by :func:`band_gains` from one list of the group band.  It reads
 gains only in the credit table's band and row 0: past the band a
 target's gain does not depend on the state's level, so the candidates from
 there form one pruned suffix union, built right to left once per budget and
-shared by every state.
+shared by every state.  Only the root of the last layer is formed: its
+candidates, from every ``j`` of the layer below, are pruned once, and that
+layer builds no suffix union and no other state.
 
 The exact DP requires integral positions and capacities; rational instances
 should be rescaled by the caller or routed to the max-min approximation
@@ -287,7 +289,7 @@ def frontier_dp(
     when it is the lowest one at or above level ``i``; it is read once per
     cell, and only in the table's band and row 0.  Returns the root state,
     non-dominated tuples mapped to their witness index chains in
-    lexicographic order, and the size of the largest pruned state.
+    lexicographic order, and the size of the largest state it forms.
 
     Each tuple is held as one packed int (:class:`_Layout`) whose fields are
     wide enough for ``top * max(1, min(k, m - 1))``, ``top`` being the
@@ -299,7 +301,10 @@ def frontier_dp(
     pruned suffix union of ``prev[j] + gain(0, j)``, built right to left; in
     it and in each state, a tuple keeps the witness of its lowest ``j``.
     Each tuple stores its witness as a back-pointer into the layer below;
-    the chains are walked once, at the root.
+    the chains are walked once, at the root.  Only the root of the last
+    layer is formed, by one prune of the candidates of every ``j``, listed
+    in ascending ``j``: the largest state formed is one of the layers below
+    the last, or the root.
 
     Raises ``SearchSpaceTooLarge`` before what it holds (the lists a
     :func:`band_gains` reader keeps, counted whatever ``gain`` is; the gains
@@ -348,7 +353,7 @@ def frontier_dp(
     layers: list[list[list[Link]]] = []
     stored = peak = 0
     # No chain holds more than m - 1 targets: every later layer repeats.
-    for _ in range(depth):
+    for layer in range(1, depth + 1):
         sizes = [len(state) for state in prev]
         stored += sum(sizes) * _LINK + len(sizes) * _LIST
         held = gains + stored + sum(sizes) * (entry + _SOURCE)
@@ -366,6 +371,18 @@ def frontier_dp(
                 return sources[j]
             return [(key + added, pointer) for key, pointer in sources[j]]
 
+        if layer == depth:
+            # Only the root is read: one prune of its candidates, listed in
+            # ascending j, so that of equal keys the lowest j keeps its
+            # witness, as in the suffix union.
+            hold(held + sum(sizes[1:]) * candidate)
+            candidates = []
+            for j, added in [*enumerate(near[0], 1), *enumerate(far, w + 1)]:
+                candidates += shifted(j, added)
+            prev = [_pruned(_Candidates(layout, candidates))]
+            peak = max(peak, len(prev[0]))
+            del sources, candidates
+            break
         # suffix[s]: the pruned union over j >= s, for s past row 0's band.
         suffix: list[State] = [[]] * (m + 1)
         for s in range(m - 1, w, -1):
@@ -398,11 +415,12 @@ def frontier_dp(
             link = links[j][index]
         return tuple(out)
 
-    # The root's keys as tuples, read like the gains, once the other states
-    # are released.
-    del prev[1:]
-    hold(gains + stored + len(prev[0]) * (entry + _READ + g * _READ_COORDINATE))
-    return {layout.unpack(key): chain(link) for key, link in prev[0]}, peak
+    # The root's keys as tuples, read like the gains, once the layer below
+    # is released.
+    root = prev[0]
+    del prev
+    hold(gains + stored + len(root) * (entry + _READ + g * _READ_COORDINATE))
+    return {layout.unpack(key): chain(link) for key, link in root}, peak
 
 
 def pareto_frontier(

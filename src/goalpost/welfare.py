@@ -29,7 +29,9 @@ its row-0 credit and count, so one suffix maximum of
 ``i``.  One maximum over the rows gives each level's value, and the lowest
 offset reaching it its lowest target.  The columns are taken in blocks of
 about ``_BLOCK_CELLS`` cells, so the candidates stay in cache at any ``W``.
-A layer costs O(m·W) instead of O(m²).
+A layer costs O(m·W) instead of O(m²).  Only the root of the last layer is
+formed, at the one row ``eta = n_lb`` that is read: row 0 of the table
+holds every target, so that is one O(m) pass.
 
 One driver, :func:`_solve_budgets`, serves every caller.  It runs the layers
 once, up to the largest budget asked for, holding only the value layer below
@@ -114,7 +116,11 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     the floor ``-1 - bound``; a chain's credits are at most the grid's
     bound, so it stays negative, and no masking pass is needed.  Returns
     each layer's root column ``[eta]`` and the choices:
-    ``choices[b - 1][eta, i]`` is the lowest target layer ``b`` places."""
+    ``choices[b - 1][eta, i]`` is the lowest target layer ``b`` places.
+
+    Only the root of the top layer is read, and only at ``eta = n_lb``:
+    that layer fills ``[n_lb, 0]`` alone, and every other state of it holds
+    the floor.  The grid has at least two levels."""
     m, w = table.grid_size, table.width
     step = max(1, _BLOCK_CELLS // (w + 1))
     span = min(step, m)  # the levels of the widest block
@@ -142,14 +148,17 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     prev[0, :m] = 0
     roots = [prev[:, 0].copy()]
     choices = []
-    for _ in range(k):
+    for layer in range(1, k + 1):
         cur = np.full_like(prev, band.floor)
         pick = np.zeros((n_lb + 1, m), dtype=np.int32)
-        for eta in range(n_lb + 1):
-            _best_targets(band, prev, eta, cur[eta, :m], pick[eta])
-            if cur[eta].max() < 0:
-                break  # more improvers are no easier: the rest stays infeasible
-        cur[0, m - 1] = 0  # topmost level: nothing above it to place
+        if layer == k:
+            _best_root(band, prev, n_lb, cur[n_lb], pick[n_lb])
+        else:
+            for eta in range(n_lb + 1):
+                _best_targets(band, prev, eta, cur[eta, :m], pick[eta])
+                if cur[eta].max() < 0:
+                    break  # more improvers are no easier: the rest stays infeasible
+            cur[0, m - 1] = 0  # topmost level: nothing above it to place
         roots.append(cur[:, 0].copy())
         choices.append(pick)
         prev = cur
@@ -204,6 +213,16 @@ def _best_targets(band: _Band, prev, eta: int, value, pick) -> None:
         np.multiply(hits, band.ranks, out=hits)
         rank = hits.max(axis=0)  # W + 1 - d for the lowest offset d
         pick[a:b] = np.where(rank > 1, levels[a:b] + (w + 2) - rank, at[a:b])
+
+
+def _best_root(band: _Band, prev, eta: int, value, pick) -> None:
+    """Level 0 of row ``eta``: the best ``credit(0, j) + prev[eta - count(0, j), j]``
+    over ``j >= 1`` into ``value[0]``, and its lowest ``j`` into ``pick[0]``.
+    Row 0 holds every ``j``, so this is one pass over it."""
+    levels = band.levels[1:]
+    cand = band.credit0[1:] + prev[np.maximum(eta - band.count0[1:], 0), levels]
+    best = int(cand.argmax())  # the first maximum: the lowest j
+    value[0], pick[0] = cand[best], best + 1
 
 
 def _reconstruct(

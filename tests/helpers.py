@@ -68,7 +68,9 @@ def pairwise_prune(candidates):
 def chain_frontier_dp(table, k, gain):
     """Reference frontier recursion: every candidate carries its whole
     witness chain, and each state is pruned with :func:`pairwise_prune`.
-    Returns the root state, tuples mapped to chains, and the largest state."""
+    Returns the root state, tuples mapped to chains, and the largest state
+    of the layers below the last and the root (the last layer's other states
+    are formed here but never read)."""
     def extend(merged, j, added, state):
         for welfare, chain in state.items():
             candidate = tuple(w + d for w, d in zip(welfare, added))
@@ -80,8 +82,9 @@ def chain_frontier_dp(table, k, gain):
     far = {j: gain(0, j) for j in range(w + 1, m)}
     base = {(0,) * table.instance.num_groups: ()}
     prev = [base] * max(m, 1)
+    depth = min(k, max(m - 1, 0))
     peak = 0
-    for _ in range(min(k, max(m - 1, 0))):
+    for layer in range(1, depth + 1):
         suffix = [{}] * (m + 1)
         for s in range(m - 1, w, -1):
             merged = {}
@@ -97,6 +100,7 @@ def chain_frontier_dp(table, k, gain):
             for welfare, chain in suffix[min(i + w + 1, m)].items():
                 merged.setdefault(welfare, chain)
             cur[i] = dict(pairwise_prune(merged))
-            peak = max(peak, len(cur[i]))
+            if layer < depth or i == 0:
+                peak = max(peak, len(cur[i]))
         prev = cur
     return prev[0], peak

@@ -384,3 +384,23 @@ def test_frontier_dp_with_three_or_twenty_groups_holds_no_more_than_any_count(mo
         finally:
             tracemalloc.stop()
         assert short[0] == 0, (g, n)
+
+
+def test_the_last_frontier_layer_prunes_only_the_root(monkeypatch):
+    from goalpost import pareto
+
+    # A full layer prunes m - W - 1 suffix unions and m - 1 states; the last
+    # one prunes the root's candidates once.
+    calls = []
+    pruned = pareto._pruned
+    monkeypatch.setattr(pareto, "_pruned", lambda c: calls.append(1) or pruned(c))
+    rng = random.Random(19)
+    inst = Instance(tuple(Agent(rng.randint(0, 90), rng.randint(1, 8), i % 3)
+                          for i in range(30)), 3)
+    table = ContributionTable(inst)
+    m, w = table.grid_size, table.width
+    assert m - w - 1 > 0
+    for k in (1, 2, 3):
+        calls.clear()
+        pareto.frontier_dp(table, k, pareto.band_gains(table))
+        assert len(calls) == (k - 1) * ((m - 1) + (m - w - 1)) + 1

@@ -415,6 +415,36 @@ def test_tie_heavy_common_instances_match_the_plain_recursion(rng):
         _assert_matches_the_plain_recursion(inst, [1, 2, 3, m])
 
 
+def test_a_budget_alone_matches_the_plain_recursion_on_both_engines(rng):
+    # Each budget is the top layer of its own run, which fills only its root.
+    for _ in range(12):
+        inst = random_integral_instance(rng, max_agents=6, max_position=10, max_capacity=4)
+        for engine in ("numpy", "python"):
+            table = ContributionTable(inst, engine=engine)
+            m = table.grid_size
+            for b in range(1, m + 1):
+                for n_lb in range(inst.size + 2):
+                    solved = welfare._solve_budgets(table, (b,), n_lb)[0]
+                    got = None if solved is None else (solved.value, solved.targets)
+                    assert got == _plain_solve(table, b, n_lb), (engine, b, n_lb)
+
+
+def test_the_top_welfare_layer_fills_only_its_root(monkeypatch):
+    calls = []
+    best_targets = welfare._best_targets
+    monkeypatch.setattr(welfare, "_best_targets",
+                        lambda *args: calls.append(1) or best_targets(*args))
+    # One target at 6 improves every agent: no row runs out of improvers,
+    # so no layer stops early.
+    inst = Instance(tuple(Agent(p, 6) for p in (0, 1, 1, 2, 3, 5)), 1)
+    table = ContributionTable(inst)
+    for k in (1, 2, 4):
+        for n_lb in (0, 3, 6):
+            calls.clear()
+            welfare._dp_rows(table, k, n_lb)
+            assert len(calls) == (k - 1) * (n_lb + 1), (k, n_lb)
+
+
 @pytest.mark.parametrize("cells", [1, 2, 5, 17])
 def test_column_blocks_leave_the_dp_rows_unchanged(monkeypatch, rng, cells):
     for _ in range(10):
