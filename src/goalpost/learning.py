@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
 from math import lcm
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -284,7 +284,6 @@ def deviation_experiment(
     seed: int,
     *,
     tolerance_factor: RationalLike = 1,
-    max_subsets: Optional[int] = None,
 ) -> DeviationReport:
     """Draw the formula-sized sample repeatedly and measure the worst
     empirical-vs-expected gap over all candidate target sets.
@@ -319,12 +318,12 @@ def deviation_experiment(
     )
     grid = integer_grid(outcomes)
     # The chunks' gains and their concatenated copy: two words a cell.
-    subsets = subset_count(len(grid.levels), k, max_subsets, min_size=1)
+    subsets = subset_count(len(grid.levels), k, min_size=1)
     check_memory(16 * subsets * num_outcomes, "the candidate sets' gains matrix",
                  _physical_memory())
     gains = np.concatenate([
         totals for _, totals in
-        evaluated_subsets(outcomes, grid, k, max_subsets, min_size=1)
+        evaluated_subsets(outcomes, grid, k, min_size=1)
     ])
     denom = lcm(*(w.denominator for w in weights))
     if denom >= 2**62:

@@ -3,11 +3,9 @@
 Everything here enumerates subsets of the potential-target grid outright and
 evaluates them with the behavior rule, so the results are correct by
 definition.  The enumeration size is checked up front against a hard cap
-(default 2e6 subsets, overridable via the GOALPOST_MAX_SUBSETS environment
-variable) and refused loudly rather than silently truncated: a lying oracle
-is worse than none.  Of the entry points, only :func:`brute_force_optimum`
-and :func:`max_min_witness` (and ``learning.deviation_experiment``) take a
-per-call ``max_subsets`` that overrides the environment.
+(default 2e6 subsets; the GOALPOST_MAX_SUBSETS environment variable, the one
+cap of every enumeration, sets it) and refused loudly rather than silently
+truncated: a lying oracle is worse than none.
 
 Subsets are enumerated as grid-index arrays, smallest size first and
 lexicographic within a size, and evaluated in fixed-size chunks by
@@ -25,7 +23,7 @@ import os
 from fractions import Fraction
 from itertools import chain, combinations, islice
 from math import comb
-from typing import Callable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -45,9 +43,9 @@ DEFAULT_MAX_SUBSETS = 2_000_000
 MAX_SUBSETS_ENV = "GOALPOST_MAX_SUBSETS"
 
 
-def subset_cap(override: Optional[int] = None) -> int:
-    """The enumeration cap: ``override``, else the environment, else 2e6."""
-    text = str(override) if override is not None else os.environ.get(MAX_SUBSETS_ENV)
+def subset_cap() -> int:
+    """The enumeration cap: the environment's, else 2e6."""
+    text = os.environ.get(MAX_SUBSETS_ENV)
     if not text:
         return DEFAULT_MAX_SUBSETS
     if not text.isdecimal():
@@ -63,11 +61,11 @@ def subset_cap(override: Optional[int] = None) -> int:
 _CHUNK_CELLS = 1 << 13
 
 
-def subset_count(m: int, k: int, max_subsets: Optional[int], min_size: int) -> int:
+def subset_count(m: int, k: int, min_size: int) -> int:
     """How many subsets of ``range(m)`` have size min_size..k; refuses when
     there are more than the cap."""
     total = sum(comb(m, size) for size in range(min_size, min(k, m) + 1))
-    cap = subset_cap(max_subsets)
+    cap = subset_cap()
     if total > cap:
         raise SearchSpaceTooLarge(
             f"{total} candidate subsets exceed the cap of {cap}"
@@ -75,14 +73,12 @@ def subset_count(m: int, k: int, max_subsets: Optional[int], min_size: int) -> i
     return total
 
 
-def _index_chunks(
-    m: int, k: int, rows: int, max_subsets: Optional[int], min_size: int
-) -> Iterator[np.ndarray]:
+def _index_chunks(m: int, k: int, rows: int, min_size: int) -> Iterator[np.ndarray]:
     """Every subset of ``range(m)`` of size min_size..k, smallest first and
     lexicographic within a size, as ``(rows, size)`` index arrays (the last
     chunk of a size may be shorter).  Refuses before yielding anything when
     there are more subsets than the cap."""
-    subset_count(m, k, max_subsets, min_size)
+    subset_count(m, k, min_size)
     for size in range(min_size, min(k, m) + 1):
         subsets = combinations(range(m), size)
         while batch := list(islice(subsets, rows)):
@@ -91,17 +87,13 @@ def _index_chunks(
 
 
 def evaluated_subsets(
-    instance: Instance,
-    grid: IntegerGrid,
-    k: int,
-    max_subsets: Optional[int] = None,
-    min_size: int = 0,
+    instance: Instance, grid: IntegerGrid, k: int, min_size: int = 0
 ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Chunks of grid-index subsets of size min_size..k, in enumeration
     order, each with its ``(rows, g)`` scaled group totals; refuses past the
     cap before evaluating anything."""
     rows = max(1, _CHUNK_CELLS // max(instance.size, instance.num_groups))
-    for sets in _index_chunks(len(grid.levels), k, rows, max_subsets, min_size):
+    for sets in _index_chunks(len(grid.levels), k, rows, min_size):
         yield sets, batch_group_totals(instance, grid, sets)
 
 
@@ -109,7 +101,7 @@ def iter_candidate_sets(instance: Instance, k: int) -> Iterator[TargetSet]:
     """All subsets of the potential-target grid of size 0..k, smallest first."""
     validate_instance(instance)
     grid = integer_grid(instance)
-    for sets in _index_chunks(len(grid.levels), k, _CHUNK_CELLS, None, 0):
+    for sets in _index_chunks(len(grid.levels), k, _CHUNK_CELLS, 0):
         for row in sets.tolist():
             yield _target_set(grid, row)
 
@@ -119,17 +111,14 @@ def _target_set(grid: IntegerGrid, row: Sequence[int]) -> TargetSet:
 
 
 def _best(
-    instance: Instance,
-    k: int,
-    max_subsets: Optional[int],
-    score: Callable[[np.ndarray], np.ndarray],
+    instance: Instance, k: int, score: Callable[[np.ndarray], np.ndarray]
 ) -> tuple[Fraction, TargetSet]:
     """Highest score of the scaled group totals and the first set reaching
     it; 0 and the empty set when no set scores above 0."""
     validate_instance(instance)
     grid = integer_grid(instance)
     best, witness = 0, ()
-    for sets, totals in evaluated_subsets(instance, grid, k, max_subsets):
+    for sets, totals in evaluated_subsets(instance, grid, k):
         scores = score(totals)
         row = int(np.argmax(scores))  # the first maximum of the chunk
         if scores[row] > best:
@@ -137,11 +126,9 @@ def _best(
     return Fraction(best, grid.scale), _target_set(grid, witness)
 
 
-def brute_force_optimum(
-    instance: Instance, k: int, max_subsets: Optional[int] = None
-) -> DpSolution:
+def brute_force_optimum(instance: Instance, k: int) -> DpSolution:
     """Exhaustive maximum total improvement over target sets of size <= k."""
-    return DpSolution(*_best(instance, k, max_subsets, lambda t: t.sum(axis=1)))
+    return DpSolution(*_best(instance, k, lambda t: t.sum(axis=1)))
 
 
 def brute_force_pareto(instance: Instance, k: int) -> ParetoFrontier:
@@ -158,12 +145,10 @@ def brute_force_pareto(instance: Instance, k: int) -> ParetoFrontier:
     return _frontier(pairs, grid.scale, instance.num_groups)
 
 
-def max_min_witness(
-    instance: Instance, k: int, max_subsets: Optional[int] = None
-) -> tuple[Fraction, TargetSet]:
+def max_min_witness(instance: Instance, k: int) -> tuple[Fraction, TargetSet]:
     """Exhaustive maximum over target sets of the minimum group welfare,
     with the first set attaining it."""
-    return _best(instance, k, max_subsets, lambda t: t.min(axis=1))
+    return _best(instance, k, lambda t: t.min(axis=1))
 
 
 def brute_force_max_min(instance: Instance, k: int) -> Fraction:

@@ -54,7 +54,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, Mapping, Optional, Sequence
 
 from .errors import NonIntegralInstance, refuses_exhaustion
 from .errors import _physical_memory, check_memory
@@ -135,13 +135,6 @@ class _Layout:
         return tuple(int.from_bytes(data[o : o + n], "big") for o in range(0, g * n, n))
 
 
-class _Candidates(NamedTuple):
-    """``(key, payload)`` pairs whose keys share one layout."""
-
-    layout: _Layout
-    pairs: Iterable[tuple[int, object]]
-
-
 def _skyline(ranked: list[tuple[int, object]], layout: _Layout) -> list[tuple[int, object]]:
     """The non-dominated ``(key, payload)`` pairs of ``ranked``, in its order.
 
@@ -194,11 +187,12 @@ def _skyline(ranked: list[tuple[int, object]], layout: _Layout) -> list[tuple[in
     return kept
 
 
-def _pruned(candidates: _Candidates) -> list[tuple[int, object]]:
-    """The non-dominated pairs in ascending order; of equal keys the first
-    listed keeps its payload (the sort is stable)."""
-    ranked = sorted(candidates.pairs, key=itemgetter(0), reverse=True)
-    kept = _skyline(ranked, candidates.layout)
+def _pruned(pairs: Iterable[tuple[int, object]], layout: _Layout) -> list[tuple[int, object]]:
+    """The non-dominated ``(key, payload)`` pairs, whose keys share
+    ``layout``, in ascending order; of equal keys the first listed keeps its
+    payload (the sort is stable)."""
+    ranked = sorted(pairs, key=itemgetter(0), reverse=True)
+    kept = _skyline(ranked, layout)
     kept.reverse()
     return kept
 
@@ -219,7 +213,7 @@ def prune_dominated(candidates: Mapping[tuple, object]) -> list[tuple[tuple, obj
         tuples = [tuple(v - low for v in values) for values in tuples]
     layout = _Layout(len(tuples[0]), max(chain.from_iterable(tuples)))
     keys = layout.pack(tuples)
-    kept = _pruned(_Candidates(layout, zip(keys, candidates.values())))
+    kept = _pruned(zip(keys, candidates.values()), layout)
     return [(tuple(v + low for v in layout.unpack(key)), payload) for key, payload in kept]
 
 
@@ -379,7 +373,7 @@ def frontier_dp(
             candidates = []
             for j, added in [*enumerate(near[0], 1), *enumerate(far, w + 1)]:
                 candidates += shifted(j, added)
-            prev = [_pruned(_Candidates(layout, candidates))]
+            prev = [_pruned(candidates, layout)]
             peak = max(peak, len(prev[0]))
             del sources, candidates
             break
@@ -388,7 +382,7 @@ def frontier_dp(
         for s in range(m - 1, w, -1):
             hold(held + (sizes[s] + len(suffix[s + 1])) * candidate)
             candidates = shifted(s, far[s - w - 1]) + suffix[s + 1]
-            suffix[s] = _pruned(_Candidates(layout, candidates))
+            suffix[s] = _pruned(candidates, layout)
             held += len(suffix[s]) * entry
         cur = [base] * len(prev)
         for i in range(m - 1):
@@ -399,7 +393,7 @@ def frontier_dp(
             for j, added in enumerate(near[i], i + 1):
                 candidates += shifted(j, added)
             candidates += tail
-            cur[i] = _pruned(_Candidates(layout, candidates))
+            cur[i] = _pruned(candidates, layout)
             held += len(cur[i]) * entry
             peak = max(peak, len(cur[i]))
         del sources, suffix, candidates, tail

@@ -30,8 +30,8 @@ its row-0 credit and count, so one suffix maximum of
 offset reaching it its lowest target.  The columns are taken in blocks of
 about ``_BLOCK_CELLS`` cells, so the candidates stay in cache at any ``W``.
 A layer costs O(m·W) instead of O(m²).  Only the root of the last layer is
-formed, at the one row ``eta = n_lb`` that is read: row 0 of the table
-holds every target, so that is one O(m) pass.
+formed, at the one row ``eta = n_lb`` that is read, so that layer is one
+column: row 0 of the table holds every target, so it is one O(m) pass.
 
 One driver, :func:`_solve_budgets`, serves every caller.  It runs the layers
 once, up to the largest budget asked for, holding only the value layer below
@@ -83,7 +83,8 @@ _BLOCK_CELLS = 1 << 17
 
 
 class _Band(NamedTuple):
-    """What every row of one DP run reads, formed once per run."""
+    """What every row of one DP run reads, formed once per run; each column
+    block forms its own candidates."""
 
     credits: np.ndarray  # (W, m) offset-major credit band
     counts: np.ndarray  # (W, m) offset-major head counts
@@ -95,9 +96,6 @@ class _Band(NamedTuple):
     past: np.ndarray  # the first level past each level's band
     ranks: np.ndarray  # (W+1, 1): W + 1 - d for offset d, W standing for past the band
     blocks: list[tuple[int, int]]  # level ranges of the column blocks
-    cand: np.ndarray  # scratch: one block's candidates,
-    index: Optional[np.ndarray]  # their gather index, when eta > 0
-    hits: np.ndarray  # and the ranks of those that reach the maximum
 
 
 def _windows(row: np.ndarray, w: int, m: int) -> np.ndarray:
@@ -107,7 +105,7 @@ def _windows(row: np.ndarray, w: int, m: int) -> np.ndarray:
 
 
 @refuses_exhaustion("the welfare DP")
-def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
+def _dp_rows(table: ContributionTable, k: int, n_lb: int):
     """Budget layers up to k, one value layer held at a time.  A layer's
     ``[eta, i]`` is the best scaled improvement above level ``i`` when at
     least ``eta`` agents must improve, negative when that is impossible, and
@@ -119,16 +117,20 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
     ``choices[b - 1][eta, i]`` is the lowest target layer ``b`` places.
 
     Only the root of the top layer is read, and only at ``eta = n_lb``:
-    that layer fills ``[n_lb, 0]`` alone, and every other state of it holds
-    the floor.  The grid has at least two levels."""
+    that layer is one column, level 0, whose ``[n_lb]`` alone is filled and
+    whose other states hold the floor.  The grid has at least two levels."""
     m, w = table.grid_size, table.width
     step = max(1, _BLOCK_CELLS // (w + 1))
     span = min(step, m)  # the levels of the widest block
     # A choice is a level index, 4 bytes as int32; a value cell takes 8, and
-    # a block's candidates, gather index and ranks at most three words a cell.
-    need = (n_lb + 1) * (4 * k * m + 8 * 2 * (m + w)) + 8 * 3 * (w + 1) * span
+    # a block's candidates, gather index and ranks at most three words a
+    # cell.  A row's arrays and the run's own take at most 16 words a level,
+    # a block's bounds about 16 words, and the arrays' headers 64 KiB.
+    blocks = -(-m // step)
+    need = ((n_lb + 1) * (4 * k * m + 8 * 2 * (m + w)) + 8 * 3 * (w + 1) * span
+            + 8 * 16 * (m + w + blocks) + (1 << 16))
     check_memory(need, "the welfare DP's choices and value layers", _physical_memory())
-    dtype, rank = table.credits.dtype, np.min_scalar_type(w + 1)
+    dtype = table.credits.dtype
     band = _Band(
         credits=table.credits.T,
         counts=table.counts.T,
@@ -138,22 +140,21 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int = 0):
         levels=np.arange(m),
         cols=_windows(np.arange(1, m + w), w, m),
         past=np.minimum(np.arange(m) + w + 1, m),
-        ranks=np.arange(w + 1, 0, -1, dtype=rank)[:, None],
+        ranks=np.arange(w + 1, 0, -1, dtype=np.min_scalar_type(w + 1))[:, None],
         blocks=[(a, min(a + step, m)) for a in range(0, m, step)],
-        cand=np.empty((w + 1) * span, dtype=dtype),
-        index=np.empty(w * span, dtype=np.intp) if n_lb else None,
-        hits=np.empty((w + 1) * span, dtype=rank),
     )
     prev = np.full((n_lb + 1, m + w), band.floor, dtype=dtype)
     prev[0, :m] = 0
     roots = [prev[:, 0].copy()]
     choices = []
     for layer in range(1, k + 1):
-        cur = np.full_like(prev, band.floor)
-        pick = np.zeros((n_lb + 1, m), dtype=np.int32)
         if layer == k:
+            cur = np.full((n_lb + 1, 1), band.floor, dtype=dtype)
+            pick = np.zeros((n_lb + 1, 1), dtype=np.int32)
             _best_root(band, prev, n_lb, cur[n_lb], pick[n_lb])
         else:
+            cur = np.full_like(prev, band.floor)
+            pick = np.zeros((n_lb + 1, m), dtype=np.int32)
             for eta in range(n_lb + 1):
                 _best_targets(band, prev, eta, cur[eta, :m], pick[eta])
                 if cur[eta].max() < 0:
@@ -194,24 +195,20 @@ def _best_targets(band: _Band, prev, eta: int, value, pick) -> None:
     np.minimum.accumulate(record[::-1], out=at[m - 1 :: -1])
     best, at = best[band.past], at[band.past]
     for a, b in band.blocks:
-        size = b - a
-        cand = band.cand[: (w + 1) * size].reshape(w + 1, size)
+        cand = np.empty((w + 1, b - a), dtype=far.dtype)
         if eta:
-            index = band.index[: w * size].reshape(w, size)
-            np.subtract(eta, band.counts[:, a:b], out=index)
+            index = eta - band.counts[:, a:b]
             np.maximum(index, 0, out=index)
-            np.multiply(index, prev.shape[1], out=index)
-            np.add(index, band.cols[:, a:b], out=index)
+            index *= prev.shape[1]
+            index += band.cols[:, a:b]
             np.take(flat, index, out=cand[:w], mode="clip")
-            np.add(cand[:w], band.credits[:, a:b], out=cand[:w])
+            cand[:w] += band.credits[:, a:b]
         else:
             np.add(band.credits[:, a:b], near[:, a:b], out=cand[:w])
         cand[w] = best[a:b]
         top = cand.max(axis=0, out=value[a:b])
-        hits = band.hits[: (w + 1) * size].reshape(w + 1, size)
-        np.equal(cand, top, out=hits, casting="unsafe")
-        np.multiply(hits, band.ranks, out=hits)
-        rank = hits.max(axis=0)  # W + 1 - d for the lowest offset d
+        # W + 1 - d for the lowest offset d reaching the maximum
+        rank = ((cand == top) * band.ranks).max(axis=0)
         pick[a:b] = np.where(rank > 1, levels[a:b] + (w + 2) - rank, at[a:b])
 
 
@@ -254,8 +251,7 @@ def _solve_budgets(
         return [nobody for _ in budgets]
     clamped = [min(k, m - 1) for k in budgets]
     top = max(clamped, default=0)
-    # At n_lb = 0 the two-argument form, which a test stands in for.
-    roots, choices = _dp_rows(table, top, n_lb) if n_lb else _dp_rows(table, top)
+    roots, choices = _dp_rows(table, top, n_lb)
     solved = {
         b: DpSolution(Fraction(int(roots[b][n_lb]), table.scale),
                       _reconstruct(table, choices, b, n_lb))

@@ -54,10 +54,11 @@ def test_max_min_small_cases():
     assert brute_force_max_min(Instance((), 1), 2) == 0
 
 
-def test_enumeration_cap_is_enforced():
+def test_enumeration_cap_is_enforced(monkeypatch):
     inst = Instance.common(list(range(10)), 1)
+    monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "10")
     with pytest.raises(SearchSpaceTooLarge):
-        brute_force_optimum(inst, 5, max_subsets=10)
+        brute_force_optimum(inst, 5)
 
 
 def test_caps_refuse_before_any_set_is_evaluated(monkeypatch):
@@ -66,13 +67,15 @@ def test_caps_refuse_before_any_set_is_evaluated(monkeypatch):
 
     monkeypatch.setattr(oracle, "batch_group_totals", evaluated)
     inst = Instance.common(list(range(10)), 1)
+    monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "10")
     with pytest.raises(SearchSpaceTooLarge):
-        brute_force_optimum(inst, 5, max_subsets=10)
+        brute_force_optimum(inst, 5)
     with pytest.raises(SearchSpaceTooLarge):
-        oracle.max_min_witness(inst, 5, max_subsets=10)
+        oracle.max_min_witness(inst, 5)
     dist = PositionDistribution(((F(0), F(1, 2)), (F(1), F(1, 2))), F(1))
+    monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "2")
     with pytest.raises(SearchSpaceTooLarge):
-        deviation_experiment(dist, 2, F(1, 2), F(1, 2), 3, 0, max_subsets=2)
+        deviation_experiment(dist, 2, F(1, 2), F(1, 2), 3, 0)
     monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "3")
     with pytest.raises(SearchSpaceTooLarge):
         brute_force_pareto(inst, 2)
@@ -91,8 +94,9 @@ def test_cap_override_via_environment(monkeypatch):
 
 def test_cap_must_be_a_non_negative_integer(monkeypatch):
     inst = Instance.common([0, 1], 1)
+    monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "-1")
     with pytest.raises(ParameterOutOfRange):
-        brute_force_optimum(inst, 1, max_subsets=-1)
+        brute_force_optimum(inst, 1)
     for value in ("abc", "-5", "2.5"):
         monkeypatch.setenv("GOALPOST_MAX_SUBSETS", value)
         with pytest.raises(ParameterOutOfRange):

@@ -168,7 +168,7 @@ def test_a_failed_frontier_allocation_is_refused(monkeypatch):
     from goalpost import pareto
     from goalpost.errors import SearchSpaceTooLarge
 
-    def exhausted(candidates):
+    def exhausted(*args):
         raise MemoryError
 
     monkeypatch.setattr(pareto, "_pruned", exhausted)
@@ -393,7 +393,7 @@ def test_the_last_frontier_layer_prunes_only_the_root(monkeypatch):
     # one prunes the root's candidates once.
     calls = []
     pruned = pareto._pruned
-    monkeypatch.setattr(pareto, "_pruned", lambda c: calls.append(1) or pruned(c))
+    monkeypatch.setattr(pareto, "_pruned", lambda *args: calls.append(1) or pruned(*args))
     rng = random.Random(19)
     inst = Instance(tuple(Agent(rng.randint(0, 90), rng.randint(1, 8), i % 3)
                           for i in range(30)), 3)

@@ -1,3 +1,4 @@
+import gc
 import random
 import tracemalloc
 from fractions import Fraction as F
@@ -255,7 +256,8 @@ def test_sweep_runs_no_layer_past_the_longest_chain(monkeypatch):
     layers = []
     dp_rows = welfare._dp_rows
     monkeypatch.setattr(
-        welfare, "_dp_rows", lambda table, k: layers.append(k) or dp_rows(table, k)
+        welfare, "_dp_rows",
+        lambda table, k, n_lb: layers.append(k) or dp_rows(table, k, n_lb),
     )
     curve = optimal_target_count_sweep(inst, 10**5)
     assert layers == [4]
@@ -336,6 +338,63 @@ def test_dp_rows_hold_two_value_layers_besides_the_choices():
     # Two value layers, the roots and the scratch of one row; every layer
     # kept would add k more.
     assert peak < choices + 5 * layer
+
+
+@pytest.mark.parametrize("cells", [17, 257, 1 << 17])
+def test_dp_rows_hold_no_more_than_the_need_they_count(monkeypatch, cells):
+    needs = []
+    check = welfare.check_memory
+
+    def counted(need, what, have):
+        needs.append(need)
+        check(need, what, have)
+
+    monkeypatch.setattr(welfare, "check_memory", counted)
+    # At 17 cells a wide band makes one block of each level.
+    monkeypatch.setattr(welfare, "_BLOCK_CELLS", cells)
+    rng = random.Random(21)
+    # Small runs, where the arrays' headers are most of what is held, then
+    # large ones, where a row's arrays and the run's own are.
+    runs = [(2, 80, 4, 20)] * 10 + [(400, 600, 2, 2)] * 3
+    for low, high, k_max, n_lb_max in runs:
+        n = rng.randint(low, high)
+        top = rng.choice([n, 10 * n, 100 * n])
+        reach = max(1, top // rng.choice([2, 5, 20, 100]))
+        inst = Instance(tuple(Agent(rng.randint(0, top), rng.randint(1, reach))
+                              for _ in range(n)), 1)
+        table = ContributionTable(inst)
+        m = table.grid_size
+        k, n_lb = rng.randint(1, min(k_max, m - 1)), rng.randint(0, min(n, n_lb_max))
+        needs.clear()
+        # A full collection first, so that the run forms every object it
+        # holds, whatever ran before.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            welfare._dp_rows(table, k, n_lb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(needs), (m, table.width, k, n_lb)
+
+
+def test_the_top_welfare_layer_holds_one_column():
+    rng = random.Random(8)
+    inst = Instance(tuple(Agent(rng.randint(0, 4000), rng.randint(1, 40))
+                          for _ in range(400)), 1)
+    table = ContributionTable(inst)
+    m, w = table.grid_size, table.width
+    assert (m, w) == (733, 15)
+    n_lb = 100
+    tracemalloc.start()
+    try:
+        welfare._dp_rows(table, 1, n_lb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The layer below, which the top one reads; a whole top layer would
+    # hold one more value layer and its choices.
+    assert peak < 1.5 * 8 * (n_lb + 1) * (m + w)
 
 
 def _plain_solve(table, k, n_lb):
