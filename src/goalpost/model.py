@@ -289,9 +289,6 @@ class TargetSet:
     def __iter__(self):
         return iter(self.levels)
 
-    def __contains__(self, value: object) -> bool:
-        return value in self.levels
-
     def __bool__(self) -> bool:
         return bool(self.levels)
 

@@ -37,9 +37,11 @@ both read by :func:`band_gains` from one list of the group band.  It reads
 gains only in the credit table's band and row 0: past the band a
 target's gain does not depend on the state's level, so the candidates from
 there form one pruned suffix union, built right to left once per budget and
-shared by every state.  Only the root of the last layer is formed: its
-candidates, from every ``j`` of the layer below, are pruned once, and that
-layer builds no suffix union and no other state.
+shared by every state.  Every state, the root and each suffix union
+included, is formed one way: the shifted tuples of a run of targets in
+ascending order, then a tail of pruned candidates, pruned together.  Only
+the root of the last layer is formed, from every ``j`` of the layer below
+and no tail; that layer builds no suffix union and no other state.
 
 The exact DP requires integral positions and capacities; rational instances
 should be rescaled by the caller or routed to the max-min approximation
@@ -123,16 +125,9 @@ class _Layout:
         ]
 
     def unpack(self, key: int) -> tuple[int, ...]:
-        g, b, mask = self.g, self.b, self.mask
-        if g == 1:
-            return (key,)
-        if g == 2:
-            return key >> b, key & mask
-        if g == 3:
-            return key >> 2 * b, key >> b & mask, key & mask
-        n = b // 8
-        data = key.to_bytes(g * n, "big")
-        return tuple(int.from_bytes(data[o : o + n], "big") for o in range(0, g * n, n))
+        n = self.b // 8
+        data = key.to_bytes(self.g * n, "big")
+        return tuple(int.from_bytes(data[o : o + n], "big") for o in range(0, len(data), n))
 
 
 def _skyline(ranked: list[tuple[int, object]], layout: _Layout) -> list[tuple[int, object]]:
@@ -291,14 +286,16 @@ def frontier_dp(
     each packed gain fits.  The gains are
     packed once, after they are read, and only the root's keys are unpacked.
 
-    Past the band, ``gain(i, j) = gain(0, j)``, so every state shares one
-    pruned suffix union of ``prev[j] + gain(0, j)``, built right to left; in
-    it and in each state, a tuple keeps the witness of its lowest ``j``.
-    Each tuple stores its witness as a back-pointer into the layer below;
-    the chains are walked once, at the root.  Only the root of the last
-    layer is formed, by one prune of the candidates of every ``j``, listed
-    in ascending ``j``: the largest state formed is one of the layers below
-    the last, or the root.
+    Every state is formed by one builder: the candidates of targets
+    ``j, j + 1, ...`` from the layer below, in ascending ``j``, then a
+    tail, pruned once; of equal tuples the lowest ``j`` keeps its witness.
+    Past the band, ``gain(i, j) = gain(0, j)``, so every state's tail is one
+    pruned suffix union of ``prev[j] + gain(0, j)``, each union formed from
+    one ``j`` and the union right of it.  Each tuple stores its witness as
+    a back-pointer into the layer below; the chains are walked once, at the
+    root.  Only the root of the last layer is formed, from the candidates
+    of every ``j`` and no tail: the largest state formed is one of the
+    layers below the last, or the root.
 
     Raises ``SearchSpaceTooLarge`` before what it holds (the lists a
     :func:`band_gains` reader keeps, counted whatever ``gain`` is; the gains
@@ -346,58 +343,49 @@ def frontier_dp(
     # counts them and their lists.
     layers: list[list[list[Link]]] = []
     stored = peak = 0
+
+    def state(first: int, added: list[int], tail: State) -> State:
+        """The pruned candidates of targets ``first, first + 1, ...``, each
+        adding its packed gain in ``added`` to state ``j`` of the layer
+        below, then ``tail``; counted before they are made.  They are listed
+        in ascending ``j``, so that of equal keys the lowest ``j`` keeps its
+        witness."""
+        nonlocal held
+        hold(held + (sum(sizes[first : first + len(added)]) + len(tail)) * candidate)
+        candidates = []
+        for j, gain in enumerate(added, first):
+            candidates += [(key + gain, link) for key, link in sources[j]] if gain else sources[j]
+        candidates += tail
+        kept = _pruned(candidates, layout)
+        held += len(kept) * entry
+        return kept
+
     # No chain holds more than m - 1 targets: every later layer repeats.
     for layer in range(1, depth + 1):
-        sizes = [len(state) for state in prev]
+        sizes = list(map(len, prev))
         stored += sum(sizes) * _LINK + len(sizes) * _LIST
         held = gains + stored + sum(sizes) * (entry + _SOURCE)
         hold(held)
-        layers.append([[link for _, link in state] for state in prev])
+        layers.append([[link for _, link in entries] for entries in prev])
         # Each tuple of state j paired with its back-pointer (j, index): what
         # a target at level j that adds nothing gives as candidates.
         sources = [
-            list(zip([key for key, _ in state], zip(repeat(j), range(len(state)))))
-            for j, state in enumerate(prev)
+            list(zip([key for key, _ in entries], zip(repeat(j), range(len(entries)))))
+            for j, entries in enumerate(prev)
         ]
-
-        def shifted(j: int, added: int) -> list[tuple[int, Link]]:
-            if not added:
-                return sources[j]
-            return [(key + added, pointer) for key, pointer in sources[j]]
-
         if layer == depth:
-            # Only the root is read: one prune of its candidates, listed in
-            # ascending j, so that of equal keys the lowest j keeps its
-            # witness, as in the suffix union.
-            hold(held + sum(sizes[1:]) * candidate)
-            candidates = []
-            for j, added in [*enumerate(near[0], 1), *enumerate(far, w + 1)]:
-                candidates += shifted(j, added)
-            prev = [_pruned(candidates, layout)]
-            peak = max(peak, len(prev[0]))
-            del sources, candidates
-            break
-        # suffix[s]: the pruned union over j >= s, for s past row 0's band.
-        suffix: list[State] = [[]] * (m + 1)
-        for s in range(m - 1, w, -1):
-            hold(held + (sizes[s] + len(suffix[s + 1])) * candidate)
-            candidates = shifted(s, far[s - w - 1]) + suffix[s + 1]
-            suffix[s] = _pruned(candidates, layout)
-            held += len(suffix[s]) * entry
-        cur = [base] * len(prev)
-        for i in range(m - 1):
-            # The candidates' new tuples are counted before they are made.
-            tail = suffix[min(i + w + 1, m)]
-            hold(held + (sum(sizes[i + 1 : i + w + 1]) + len(tail)) * candidate)
-            candidates = []
-            for j, added in enumerate(near[i], i + 1):
-                candidates += shifted(j, added)
-            candidates += tail
-            cur[i] = _pruned(candidates, layout)
-            held += len(cur[i]) * entry
-            peak = max(peak, len(cur[i]))
-        del sources, suffix, candidates, tail
-        prev = cur
+            # Only the root is read: one prune of the candidates of every j.
+            prev = [state(1, near[0] + far, [])]
+        else:
+            # suffix[s]: the pruned union over j >= s, for s past row 0's band.
+            suffix: list[State] = [[]] * (m + 1)
+            for s in range(m - 1, w, -1):
+                suffix[s] = state(s, [far[s - w - 1]], suffix[s + 1])
+            prev = [state(i + 1, near[i], suffix[min(i + w + 1, m)]) for i in range(m - 1)]
+            prev.append(base)
+            del suffix
+        peak = max(peak, *map(len, prev))
+        del sources
 
     def chain(link: Link) -> tuple[int, ...]:
         out = []

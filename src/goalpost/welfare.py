@@ -42,6 +42,7 @@ fails anyway, is refused with ``SearchSpaceTooLarge``.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
@@ -104,6 +105,30 @@ def _windows(row: np.ndarray, w: int, m: int) -> np.ndarray:
     return as_strided(row, (w, m), (step, step), writeable=False)
 
 
+def _check_dp_fits(table: ContributionTable, k: int, n_lb: int) -> int:
+    """Refuse a DP run of ``k`` budget layers of ``n_lb + 1`` rows whose
+    choices and value layers would exceed physical memory, before any is
+    allocated; return the levels of a column block.
+
+    A choice is a level index, 4 bytes as int32.  A value cell is a word,
+    and for ``object`` also the int it points to, no larger than the grid's
+    bound; a block's candidates take a cell each, and their gather index
+    and ranks at most two words.  A row's arrays and the run's own take at
+    most 16 words a level, a block's bounds about 16 words, and the arrays'
+    headers 64 KiB."""
+    m, w = table.grid_size, table.width
+    step = max(1, _BLOCK_CELLS // (w + 1))
+    span = min(step, m)  # the levels of the widest block
+    blocks = -(-m // step)
+    cell = 8
+    if table.credits.dtype == object:
+        cell += sys.getsizeof(integer_grid(table.instance).bound)
+    need = ((n_lb + 1) * (4 * k * m + cell * 2 * (m + w)) + (cell + 16) * (w + 1) * span
+            + 8 * 16 * (m + w + blocks) + (1 << 16))
+    check_memory(need, "the welfare DP's choices and value layers", _physical_memory())
+    return step
+
+
 @refuses_exhaustion("the welfare DP")
 def _dp_rows(table: ContributionTable, k: int, n_lb: int):
     """Budget layers up to k, one value layer held at a time.  A layer's
@@ -120,16 +145,7 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int):
     that layer is one column, level 0, whose ``[n_lb]`` alone is filled and
     whose other states hold the floor.  The grid has at least two levels."""
     m, w = table.grid_size, table.width
-    step = max(1, _BLOCK_CELLS // (w + 1))
-    span = min(step, m)  # the levels of the widest block
-    # A choice is a level index, 4 bytes as int32; a value cell takes 8, and
-    # a block's candidates, gather index and ranks at most three words a
-    # cell.  A row's arrays and the run's own take at most 16 words a level,
-    # a block's bounds about 16 words, and the arrays' headers 64 KiB.
-    blocks = -(-m // step)
-    need = ((n_lb + 1) * (4 * k * m + 8 * 2 * (m + w)) + 8 * 3 * (w + 1) * span
-            + 8 * 16 * (m + w + blocks) + (1 << 16))
-    check_memory(need, "the welfare DP's choices and value layers", _physical_memory())
+    step = _check_dp_fits(table, k, n_lb)
     dtype = table.credits.dtype
     band = _Band(
         credits=table.credits.T,
@@ -292,9 +308,11 @@ def optimal_target_count_sweep(
     table = ContributionTable(instance, engine=engine)
     # No chain holds more than m - 1 targets: later budgets repeat that one.
     top = min(k_max, max(table.grid_size - 1, 0))
-    solutions = _solve_budgets(table, range(top + 1))
+    # Both refusals come before any layer runs, the DP's first.
+    _check_dp_fits(table, top, 0)
     check_memory(_curve_bytes(instance, top, k_max), "the sweep's curve",
                  _physical_memory())
+    solutions = _solve_budgets(table, range(top + 1))
     best = [(solution.value, solution.targets) for solution in solutions]
     entries = tuple(BudgetPoint(k, *best[min(k, top)]) for k in range(k_max + 1))
     min_k = next(e.k for e in entries if e.value == entries[-1].value)

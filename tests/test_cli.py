@@ -504,6 +504,46 @@ def test_learn_bound_overflow_is_an_error_envelope(capsys, tmp_path):
 
 
 
+POINT = {"capacity": 1, "support": [{"position": 0, "probability": 1}]}
+LEARN_BOUND = ["learn-bound", "--k", "1", "--epsilon", "1/2", "--delta", "1/2"]
+LEARN_EXPERIMENT = ["learn-experiment", "--k", "1", "--epsilon", "1/2", "--delta", "1/2"]
+
+
+@pytest.mark.parametrize("argv, document, error", [
+    (["solve", "--k", "1"], {"agents": [{"position": 0, "capacity": 1}],
+                             "capacity_model": "shared"}, "InstanceParseError"),
+    (["solve", "--k", "1"], {"agents": [{"position": 0, "capacity": 1}], "num_groups": 0},
+     "GroupIndexOutOfRange"),
+    (LEARN_BOUND, {"capacity": 1, "support": []}, "ParameterOutOfRange"),
+    (LEARN_BOUND, {"capacity": 1, "support": [{"position": -1, "probability": 1}]},
+     "ParameterOutOfRange"),
+    (LEARN_BOUND, {"capacity": -1, "support": [{"position": 0, "probability": 1}]},
+     "ParameterOutOfRange"),
+    (LEARN_BOUND, {"capacity": 1, "support": [{"position": 0, "probability": 0},
+                                              {"position": 1, "probability": 1}]},
+     "ParameterOutOfRange"),
+    (LEARN_BOUND, {"components": []}, "ParameterOutOfRange"),
+    (LEARN_BOUND, {"components": [{"weight": 0, "dist": POINT}, {"weight": 1, "dist": POINT}]},
+     "ParameterOutOfRange"),
+    (["learn-bound", "--k", "0", "--epsilon", "1/2", "--delta", "1/2"],
+     {"components": [{"weight": "1/2", "dist": POINT}, {"weight": "1/2", "dist": POINT}]},
+     "ParameterOutOfRange"),
+    ([*LEARN_EXPERIMENT, "--trials", "0", "--seed", "0"], POINT, "ParameterOutOfRange"),
+    ([*LEARN_EXPERIMENT, "--trials", "1", "--seed", "-1"], POINT, "ParameterOutOfRange"),
+    # A denominator past 2^62 does not fit the experiment's integer draws.
+    ([*LEARN_EXPERIMENT, "--trials", "1", "--seed", "0"], {"capacity": 1, "support": [
+        {"position": 0, "probability": f"1/{2**63}"},
+        {"position": 1, "probability": f"{2**63 - 1}/{2**63}"}]}, "ParameterOutOfRange"),
+], ids=["capacity-model", "no-groups", "empty-support", "negative-support-position",
+        "negative-distribution-capacity", "zero-probability", "no-components",
+        "zero-weight", "mixture-k-0", "no-trials", "negative-seed", "wide-denominator"])
+def test_each_input_refusal_is_an_error_envelope(capsys, tmp_path, argv, document, error):
+    path = error_case(tmp_path, "refused.json", document)
+    code, payload = run_json(capsys, *argv, "--instance", path)
+    assert code == 1
+    assert payload["error"] == error
+
+
 def mostly(good, bad):
     """``good`` nine times in ten, so most documents get past the parser."""
     return st.integers(0, 9).flatmap(lambda roll: bad if roll == 9 else good)
@@ -581,6 +621,42 @@ def test_any_instance_document_answers_or_fails_as_documented(
         argv += ["--epsilon", epsilon]
     if command == "factor" and budget is not None:
         argv += ["--budget", budget]
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        capsys.readouterr()
+        return
+    payload = json.loads(capsys.readouterr().out)
+    if code == 1:
+        assert sorted(payload) == ["detail", "error"], argv
+    else:
+        assert code == 0 and payload["command"] == command, argv
+
+
+@given(
+    document=FUZZ_INSTANCE,
+    command=st.sampled_from(["solve", "solve-lb", "sweep", "fair-approx", "oracle"]),
+    k=FUZZ_K,
+    n_lb=FUZZ_K,
+    objective=st.sampled_from(["welfare", "pareto", "maxmin"]),
+)
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_instance_document_answers_or_fails_as_documented_in_welfare_commands(
+    capsys, tmp_path, document, command, k, n_lb, objective
+):
+    """The same contract for the welfare, fair and brute-force commands."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    argv = [command, "--instance", str(path), "--k", k]
+    if command == "solve-lb":
+        argv += ["--n-lb", n_lb]
+    if command == "oracle":
+        argv += ["--objective", objective]
     try:
         code = main(argv)
     except SystemExit as exc:

@@ -115,6 +115,7 @@ def test_target_set_merges_duplicates_and_sorts():
     ts = TargetSet((3, 1, 3, "1/2"))
     assert ts.as_strings() == ["1/2", "1", "3"]
     assert len(ts) == 3
+    assert (F(1) in ts, 1 in ts, F(2) in ts) == (True, True, False)
 
 
 level_values = st.one_of(

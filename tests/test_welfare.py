@@ -378,6 +378,48 @@ def test_dp_rows_hold_no_more_than_the_need_they_count(monkeypatch, cells):
         assert peak <= max(needs), (m, table.width, k, n_lb)
 
 
+def test_exact_engine_dp_rows_hold_no_more_than_the_need_they_count(monkeypatch):
+    needs = []
+    check = welfare.check_memory
+
+    def counted(need, what, have):
+        needs.append(need)
+        check(need, what, have)
+
+    monkeypatch.setattr(welfare, "check_memory", counted)
+    rng = random.Random(3)
+    # Positions near 10^30 do not fit int64, so each value cell points to an
+    # int of its own; at k >= 2 whole value layers of them are held.
+    for n, top, reach, k, n_lb in [(200, 2000, 20, 3, 20), (400, 4000, 20, 2, 5),
+                                   (100, 1000, 50, 3, 10), (300, 3000, 10, 4, 30)]:
+        inst = Instance(tuple(Agent(10**30 + rng.randint(0, top), rng.randint(1, reach))
+                              for _ in range(n)), 1)
+        table = ContributionTable(inst)
+        assert table.engine == "python"
+        needs.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            welfare._dp_rows(table, k, n_lb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(needs), (table.grid_size, table.width, k, n_lb)
+
+
+def test_a_sweep_whose_curve_cannot_fit_runs_no_dp_layer(monkeypatch):
+    from goalpost.errors import SearchSpaceTooLarge
+
+    def no_layer(*args):
+        raise AssertionError("a DP layer ran")
+
+    monkeypatch.setattr(welfare, "_best_targets", no_layer)
+    # Four levels: every layer below the top one reads _best_targets.
+    inst = Instance.common([0, 1, 3], 1)
+    with pytest.raises(SearchSpaceTooLarge, match="the sweep's curve"):
+        optimal_target_count_sweep(inst, 10**12)
+
+
 def test_the_top_welfare_layer_holds_one_column():
     rng = random.Random(8)
     inst = Instance(tuple(Agent(rng.randint(0, 4000), rng.randint(1, 40))
