@@ -302,8 +302,8 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     assert len(final) <= k
 
     report = improvement_report(instance, final)
-    alpha_k = _worst_ratio(report.group_totals, optima[k])
-    alpha_ceil = _worst_ratio(report.group_totals, split_optima)
+    alpha_k = _worst_ratio(report.group_totals, [s.value for s in optima[k].per_group])
+    alpha_ceil = _worst_ratio(report.group_totals, [s.value for s in split_optima.per_group])
     return ApproxTrace(
         instance,
         k,
@@ -321,14 +321,12 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     )
 
 
-def _worst_ratio(welfare: Sequence[Fraction], optima: GroupOptima) -> Fraction:
+def _worst_ratio(welfare: Sequence[Fraction], solo: Sequence[Fraction]) -> Fraction:
     """Worst over groups of welfare / solo optimum; groups whose solo optimum
     is 0 count as fully served."""
     return min(
-        (
-            Fraction(1) if solo.value == 0 else earned / solo.value
-            for earned, solo in zip(welfare, optima.per_group)
-        ),
+        (Fraction(1) if best == 0 else earned / best
+         for earned, best in zip(welfare, solo)),
         default=Fraction(1),
     )
 
@@ -340,17 +338,22 @@ def simultaneity_factor(
     ``budget``); groups whose solo optimum is 0 count as fully served."""
     validate_instance(instance)
     report = improvement_report(instance, targets)
-    return _worst_ratio(report.group_totals, group_optima(instance, budget))
+    optima = group_optima(instance, budget)
+    return _worst_ratio(report.group_totals, [solo.value for solo in optima.per_group])
 
 
 def best_simultaneous_on_frontier(
     instance: Instance, k: int
 ) -> tuple[Fraction, FrontierPoint]:
     """Scan the exact frontier for the point with the best simultaneity
-    factor at budget ``k``; beats or matches the pipeline's output."""
-    frontier = pareto_frontier(instance, k)
-    optima = group_optima(instance, k)
+    factor at budget ``k``; beats or matches the pipeline's output.
+
+    Each group's solo optimum at budget ``k`` is its largest welfare over the
+    frontier: a group's welfare depends on its own agents alone, so some
+    frontier point attains what the group earns when solved by itself."""
+    points = pareto_frontier(instance, k).points
+    solo = [max(welfare) for welfare in zip(*(point.welfare for point in points))]
     return max(
-        ((_worst_ratio(point.welfare, optima), point) for point in frontier.points),
+        ((_worst_ratio(point.welfare, solo), point) for point in points),
         key=lambda scored: scored[0],
     )

@@ -24,9 +24,13 @@ physical memory is refused with ``SearchSpaceTooLarge`` before any set is
 evaluated.  A trial draws its sample ``DRAW_CHUNK`` values at a time and
 adds up the chunks' per-outcome ``np.bincount`` tallies, so its memory does
 not grow with the sample size (the generator's stream does not depend on how
-the draws are split).  It gets every set's per-group gap numerator from one
-matrix product, picks the worst gap by integer cross-multiplication and
-forms a single ``Fraction``.
+the draws are split).  Outcomes are listed group by group, so a group's
+outcomes are adjacent columns: a trial weighs each outcome's gains by its
+tally less its expected share, with every in-group probability over one
+common denominator, and sums each group's columns with one
+``np.add.reduceat``.  No outcomes × groups array is formed: besides the
+gains matrix, a trial holds only its weighted copy and the sets × groups
+sums.
 """
 
 from __future__ import annotations
@@ -127,16 +131,21 @@ def _support_grid(dists: Iterable[PositionDistribution]) -> tuple[Fraction, ...]
     return potential_targets(Instance(agents)).levels
 
 
-def _check_unit_open(name: str, value: Fraction) -> None:
-    if not 0 < value < 1:
+def _bound_args(
+    epsilon: RationalLike, delta: RationalLike, k: int, *more: RationalLike
+) -> tuple[Fraction, ...]:
+    """``epsilon``, ``delta`` and ``more`` as Fractions, once epsilon is
+    positive, delta lies in (0, 1) and k is at least 1."""
+    eps, dlt, *rest = map(rational, (epsilon, delta, *more))
+    if eps <= 0:
         raise ParameterOutOfRange(
-            f"{name} must lie in (0, 1), got {rational_detail(value)}")
-
-
-def _check_positive(name: str, value: Fraction) -> None:
-    if value <= 0:
+            f"epsilon must be positive, got {rational_detail(eps)}")
+    if not 0 < dlt < 1:
         raise ParameterOutOfRange(
-            f"{name} must be positive, got {rational_detail(value)}")
+            f"delta must lie in (0, 1), got {rational_detail(dlt)}")
+    if k < 1:
+        raise ParameterOutOfRange(f"k must be at least 1, got {k}")
+    return (eps, dlt, *rest)
 
 
 def _sample_count(bound: Callable[[], float]) -> int:
@@ -155,11 +164,7 @@ def required_samples_single(
 ) -> int:
     """Samples sufficient for every k-target set's empirical improvement to
     sit within O(epsilon) of its expectation, with probability 1 - delta."""
-    eps, dlt, dmax = rational(epsilon), rational(delta), rational(delta_max)
-    _check_positive("epsilon", eps)
-    _check_unit_open("delta", dlt)
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be at least 1, got {k}")
+    eps, dlt, dmax = _bound_args(epsilon, delta, k, delta_max)
     if dmax < 0:
         raise ParameterOutOfRange("delta_max must be non-negative")
     return _sample_count(
@@ -177,12 +182,7 @@ def required_samples_groups(
 ) -> int:
     """Grouped variant: the guarantee holds per group, for samples drawn from
     the mixture without control over group membership."""
-    eps, dlt, dmax = rational(epsilon), rational(delta), rational(delta_max)
-    amin = rational(alpha_min)
-    _check_positive("epsilon", eps)
-    _check_unit_open("delta", dlt)
-    if k < 1:
-        raise ParameterOutOfRange(f"k must be at least 1, got {k}")
+    eps, dlt, dmax, amin = _bound_args(epsilon, delta, k, delta_max, alpha_min)
     if g < 1:
         raise ParameterOutOfRange(f"g must be at least 1, got {g}")
     if not 0 < amin <= 1:
@@ -305,8 +305,10 @@ def deviation_experiment(
         mixture = dist
     else:
         mixture = GroupMixture(((Fraction(1), dist),))
-    # One outcome per group and support point.  Each outcome is a one-agent
-    # group of its own, so the kernel's group totals are per-outcome gains.
+    # One outcome per group and support point, listed group by group, so
+    # each group's outcomes are adjacent columns from starts[group] on.  Each
+    # outcome is a one-agent group of its own, so the kernel's group totals
+    # are per-outcome gains.
     groups, positions, capacities, probabilities, weights = zip(*(
         (gi, p, d.capacity, q, w * q)
         for gi, (w, d) in enumerate(mixture.components)
@@ -332,36 +334,31 @@ def deviation_experiment(
         )
     thresholds = list(accumulate(int(w * denom) for w in weights))
 
-    # A group's expectation weighs its gains by the in-group probabilities,
-    # here in whole units of 1 / (scale · dens[group]).
-    member = np.equal.outer(groups, np.arange(mixture.num_groups))
-    dens = [
-        lcm(*(q.denominator for q, gi in zip(probabilities, groups) if gi == g))
-        for g in range(mixture.num_groups)
-    ]
-    units = [int(q * dens[gi]) for q, gi in zip(probabilities, groups)]
-    # Both terms of |total · den - expected · size| are at most n·(max gain)·den.
-    bound = n * max(grid.capacities) * max(dens)
+    # In-group probabilities in whole units of 1 / den.  A trial weighs
+    # outcome o by tally[o] · den - unit[o] · size[group], at most n · den,
+    # so a group's signed sum of gains is at most 2 · n · (max gain) · den.
+    den = lcm(*(q.denominator for q in probabilities))
+    bound = n * den * max(1, 2 * max(grid.capacities))
     dtype = np.int64 if gains.dtype == np.int64 and bound < INT64_SAFE else object
-    gains = gains.astype(dtype)
-    expected = gains @ (member * np.asarray(units)[:, None]).astype(dtype)
-    dens_row = np.asarray(dens, dtype=dtype)
+    gains = gains.astype(dtype, copy=False)
+    units = np.array([int(q * den) for q in probabilities], dtype=dtype)
+    groups = np.array(groups)
+    starts = np.flatnonzero(np.diff(groups, prepend=-1))
 
     successes = 0
     worst = Fraction(0)
     for trial in range(trials):
         tallies = _tally_draws(_trial_rng(seed, trial), n, denom, thresholds)
-        sizes = tallies @ member
-        totals = gains @ (member * tallies[:, None]).astype(dtype)
-        # The gap of group g is gaps[:, g] / (sizes[g] · dens[g] · scale).
-        gaps = np.abs(totals * dens_row - expected * sizes.astype(dtype))
-        num, den = 0, 1
-        for gi, size in enumerate(sizes.tolist()):
-            if size:
-                top_gap = int(gaps[:, gi].max())
-                if top_gap * den > num * size * dens[gi]:
-                    num, den = top_gap, size * dens[gi]
-        trial_worst = Fraction(num, den * grid.scale)
+        tallies = tallies.astype(dtype, copy=False)
+        sizes = np.add.reduceat(tallies, starts)
+        signed = tallies * den - units * sizes[groups]
+        # The gap of group g is gaps[g] / (sizes[g] · den · scale).
+        sums = np.add.reduceat(gains * signed, starts, axis=1)
+        gaps = np.abs(sums, out=sums).max(axis=0)
+        trial_worst = max(
+            Fraction(gap, size)
+            for gap, size in zip(gaps.tolist(), sizes.tolist()) if size
+        ) / (den * grid.scale)
         worst = max(worst, trial_worst)
         if all(sizes) and trial_worst <= tolerance:
             successes += 1

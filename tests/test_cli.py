@@ -1,5 +1,6 @@
 import json
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -668,6 +669,110 @@ def test_any_instance_document_answers_or_fails_as_documented_in_welfare_command
         assert sorted(payload) == ["detail", "error"], argv
     else:
         assert code == 0 and payload["command"] == command, argv
+
+
+# Distribution documents: probabilities and weights are drawn as positive
+# counts over their sum, so most documents are valid, and then some entries
+# are replaced by a malformed value.
+FUZZ_SHARE_BAD = st.sampled_from([0, "-1/2", "3/2", "1/0", "abc", None, 1.5, True,
+                                  f"1/{2**63}", 10**30])
+SMALL_CAPACITIES = mostly(
+    st.one_of(st.integers(0, 3), st.sampled_from(["1/2", "3/2", "7/3"])),
+    st.sampled_from([-1, "-1/2", "abc", "", None, 1.5, True]),
+)
+
+
+def shares(draw, size):
+    counts = draw(st.lists(st.integers(1, 5), min_size=size, max_size=size))
+    return [draw(mostly(st.just(str(Fraction(c, sum(counts)))), FUZZ_SHARE_BAD))
+            for c in counts]
+
+
+@st.composite
+def fuzz_single_distribution(draw, capacities):
+    positions = draw(st.lists(FUZZ_NUMBERS, min_size=1, max_size=4))
+    support = [{"position": p, "probability": q}
+               for p, q in zip(positions, shares(draw, len(positions)))]
+    return draw(mostly(
+        st.just({"capacity": draw(capacities), "support": support}),
+        st.sampled_from([{}, {"support": {}}, {"capacity": 1, "support": [3]}, []]),
+    ))
+
+
+@st.composite
+def fuzz_distribution(draw, capacities):
+    if draw(st.booleans()):
+        return draw(fuzz_single_distribution(capacities))
+    dists = draw(st.lists(fuzz_single_distribution(capacities), min_size=1, max_size=3))
+    components = [{"weight": w, "dist": d} for w, d in zip(shares(draw, len(dists)), dists)]
+    return draw(mostly(
+        st.just({"components": components}),
+        st.sampled_from([{"components": []}, {"components": {}},
+                         {"components": [{"weight": 1}]}, None, "components"]),
+    ))
+
+
+def assert_answers_or_fails_as_documented(capsys, command, argv):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, argv
+        capsys.readouterr()
+        return
+    payload = json.loads(capsys.readouterr().out)
+    if code == 1:
+        assert sorted(payload) == ["detail", "error"], argv
+    else:
+        assert code == 0 and payload["command"] == command, argv
+
+
+@given(
+    document=fuzz_distribution(FUZZ_NUMBERS),
+    k=FUZZ_K,
+    epsilon=FUZZ_EPSILON,
+    delta=FUZZ_EPSILON,
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_distribution_document_answers_or_fails_as_documented_in_learn_bound(
+    capsys, tmp_path, document, k, epsilon, delta
+):
+    """The same contract for ``learn-bound``, on any values."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    assert_answers_or_fails_as_documented(capsys, "learn-bound", [
+        "learn-bound", "--instance", str(path), "--k", k,
+        "--epsilon", epsilon, "--delta", delta,
+    ])
+
+
+@given(
+    document=fuzz_distribution(SMALL_CAPACITIES),
+    k=mostly(st.integers(0, 3).map(str), st.sampled_from(["-1", "abc", "1/2"])),
+    delta=FUZZ_EPSILON,
+    trials=mostly(st.sampled_from(["1", "2"]), st.sampled_from(["0", "-1", "x"])),
+    seed=mostly(st.integers(0, 9).map(str), st.sampled_from(["-1", "1.5"])),
+)
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+def test_any_distribution_document_answers_or_fails_as_documented_in_learn_experiment(
+    capsys, tmp_path, document, k, delta, trials, seed
+):
+    """The same contract for ``learn-experiment``.  Its sample size grows
+    with the capacity squared over epsilon squared, so capacities stay small
+    and epsilon is 1/2: a capacity of 2^62 would draw for ever."""
+    path = tmp_path / "fuzz.json"
+    path.write_text(json.dumps(document))
+    assert_answers_or_fails_as_documented(capsys, "learn-experiment", [
+        "learn-experiment", "--instance", str(path), "--k", k, "--epsilon", "1/2",
+        "--delta", delta, "--trials", trials, "--seed", seed,
+    ])
 
 
 # -- the command table ----------------------------------------------------------

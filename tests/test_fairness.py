@@ -1,6 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from goalpost import (
     Agent,
@@ -16,6 +19,7 @@ from goalpost import (
     improvement_report,
     local_reopt,
     max_total_improvement,
+    pareto_frontier,
     prune_every_other,
     resolve_interference,
     simultaneity_factor,
@@ -26,8 +30,9 @@ from goalpost.errors import (
     IndividualizedCapacityUnsupported,
     SpacingPreconditionViolated,
 )
+from goalpost import fairness
 from goalpost.fairness import merge_parts
-from helpers import random_common_instance
+from helpers import random_common_instance, random_integral_instance
 
 # two groups, capacity 4: each group's solo targets sit 1 above the other
 # group's agents, so the naive union starves group 1
@@ -345,6 +350,27 @@ def test_best_on_frontier_dominates_pipeline():
     alpha, point = best_simultaneous_on_frontier(INTERFERENCE, 2)
     assert alpha >= F(3, 8)
     assert alpha == simultaneity_factor(INTERFERENCE, point.targets, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32), k=st.integers(0, 4))
+def test_each_group_optimum_is_its_largest_frontier_coordinate(seed, k):
+    # A group's welfare depends on its own agents alone, so the frontier
+    # holds a point where that group earns its solo optimum.
+    inst = random_integral_instance(random.Random(seed), max_groups=4)
+    points = pareto_frontier(inst, k).points
+    optima = group_optima(inst, k)
+    for g in range(inst.num_groups):
+        assert max(p.welfare[g] for p in points) == optima.per_group[g].value, g
+
+
+def test_best_on_frontier_solves_no_group_alone(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a group was solved alone")
+
+    monkeypatch.setattr(fairness, "_solo_optima_by_budget", refuse)
+    alpha, point = best_simultaneous_on_frontier(INTERFERENCE, 2)
+    assert (alpha, point.welfare) == (F(1, 2), (F(4), F(5)))
 
 
 def test_best_on_frontier_single_group_is_exact():

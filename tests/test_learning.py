@@ -341,3 +341,20 @@ def test_a_gains_matrix_past_physical_memory_is_refused_before_any_set(monkeypat
     monkeypatch.setattr(learning, "_physical_memory", lambda: 16 * 51 * 50)
     deviation_experiment(dist, 1, F(1, 2), F(1, 2), 1, 0)
     assert kernel_calls
+
+
+def test_a_trial_forms_no_outcomes_by_groups_array():
+    # 3,000 one-point groups: an outcomes × groups int64 array alone would
+    # take 8 · 3000² bytes (72 MB), while every gain here is 0.
+    import tracemalloc
+
+    point = PositionDistribution(((F(0), F(1)),), F(0))
+    mixture = GroupMixture(tuple((F(1, 3000), point) for _ in range(3000)))
+    tracemalloc.start()
+    try:
+        report = deviation_experiment(mixture, 1, F(1, 2), F(1, 10), 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.worst_deviation == 0
+    assert peak < 8 * 3000**2 // 4
