@@ -184,10 +184,7 @@ class Instance:
 
     @property
     def is_integral(self) -> bool:
-        return all(
-            a.position.denominator == 1 and a.capacity.denominator == 1
-            for a in self.agents
-        )
+        return integer_grid(self).scale == 1
 
     def group_members(self, group: int) -> tuple[Agent, ...]:
         return tuple(a for a in self.agents if a.group == group)

@@ -26,9 +26,10 @@ candidates costs O(c log c) instead of O(c²) tuple comparisons; four or
 more groups take the guard-bit test against each kept tuple.
 
 A tuple does not carry its witness chain.  It stores a back-pointer
-``(j, index)``: its lowest target ``j`` and the position of the tuple it
-extends in state ``j`` of the layer below.  Only the pointers of each layer
-are kept, and the root's chains are walked once at the end.
+``(j, parent)``: its lowest target ``j`` and the back-pointer of the tuple
+it extends in state ``j`` of the layer below.  The pointers form linked
+chains that the states share, so a pointer lives only while some state
+reaches it, and the root's chains are followed once at the end.
 
 The recursion, :func:`frontier_dp`, works on integer tuples from any per-cell
 gain; the exact frontier feeds it scaled group credits, and the max-min
@@ -220,9 +221,9 @@ def _require_integral(instance: Instance) -> None:
         )
 
 
-# A witness back-pointer: (j, index of the tuple in state j of the layer
-# below), or None for the empty chain.
-Link = Optional[tuple[int, int]]
+# A witness back-pointer: (j, the back-pointer of the tuple it extends in
+# state j of the layer below), or None for the empty chain.
+Link = Optional[tuple[int, "Link"]]
 State = list[tuple[int, Link]]
 
 # Bytes as CPython allocates them: a list slot, an empty tuple (with its
@@ -231,7 +232,9 @@ _SLOT, _TUPLE, _INT = 8, 40, 32
 _PAIR = _TUPLE + 2 * _SLOT
 # Besides its key: a state's entry is its (key, back-pointer) pair and slot;
 # a candidate is that and the slots of the sort; a source is a state's entry
-# paired with a new back-pointer (j, index), and a link is a stored one.
+# paired with a new back-pointer (j, parent), and a link is one back-pointer
+# of a layer below.  A source and a link each count an int, and a link a
+# slot, that they do not hold: an upper bound.
 _ENTRY = _PAIR + _SLOT
 _CANDIDATE = _PAIR + 4 * _SLOT
 _SOURCE = 2 * _PAIR + _INT + _SLOT
@@ -292,17 +295,18 @@ def frontier_dp(
     Past the band, ``gain(i, j) = gain(0, j)``, so every state's tail is one
     pruned suffix union of ``prev[j] + gain(0, j)``, each union formed from
     one ``j`` and the union right of it.  Each tuple stores its witness as
-    a back-pointer into the layer below; the chains are walked once, at the
-    root.  Only the root of the last layer is formed, from the candidates
-    of every ``j`` and no tail: the largest state formed is one of the
-    layers below the last, or the root.
+    a back-pointer ``(j, parent)`` to the one it extends in the layer below;
+    the chains are followed once, at the root.  Only the root of the last
+    layer is formed, from the candidates of every ``j`` and no tail: the
+    largest state formed is one of the layers below the last, or the root.
 
     Raises ``SearchSpaceTooLarge`` before what it holds (the lists a
     :func:`band_gains` reader keeps, counted whatever ``gain`` is; the gains
-    as read, then the packed gains, the entries of the states, the stored
-    back-pointers and the freed tuples CPython keeps for reuse) would exceed
-    physical memory, or when an allocation fails
-    anyway (under an address-space limit below physical memory).
+    as read, then the packed gains, the entries of the states, every
+    back-pointer formed so far, a bound on those still held, and the freed
+    tuples CPython keeps for reuse) would exceed physical memory, or when an
+    allocation fails anyway (under an address-space limit below physical
+    memory).
     """
     m, w, g = table.grid_size, table.width, table.instance.num_groups
     depth = min(k, max(m - 1, 0))
@@ -339,9 +343,9 @@ def frontier_dp(
     base: State = [(0, None)]
     # An empty grid still has the empty chain at its root.
     prev = [base] * max(m, 1)
-    # layers[t][j]: the back-pointers stored in state j of layer t; ``stored``
-    # counts them and their lists.
-    layers: list[list[list[Link]]] = []
+    # ``stored`` counts every back-pointer of the layers below and a list of
+    # each state: a bound on those still reachable, which are fewer (a
+    # pointer no state reaches is freed with the states that held it).
     stored = peak = 0
 
     def state(first: int, added: list[int], tail: State) -> State:
@@ -366,13 +370,9 @@ def frontier_dp(
         stored += sum(sizes) * _LINK + len(sizes) * _LIST
         held = gains + stored + sum(sizes) * (entry + _SOURCE)
         hold(held)
-        layers.append([[link for _, link in entries] for entries in prev])
-        # Each tuple of state j paired with its back-pointer (j, index): what
-        # a target at level j that adds nothing gives as candidates.
-        sources = [
-            list(zip([key for key, _ in entries], zip(repeat(j), range(len(entries)))))
-            for j, entries in enumerate(prev)
-        ]
+        # Each tuple of state j paired with its back-pointer (j, its link):
+        # what a target at level j that adds nothing gives as candidates.
+        sources = [[(key, (j, link)) for key, link in entries] for j, entries in enumerate(prev)]
         if layer == depth:
             # Only the root is read: one prune of the candidates of every j.
             prev = [state(1, near[0] + far, [])]
@@ -389,12 +389,9 @@ def frontier_dp(
 
     def chain(link: Link) -> tuple[int, ...]:
         out = []
-        for links in reversed(layers):
-            if link is None:
-                break
-            j, index = link
+        while link is not None:
+            j, link = link
             out.append(j)
-            link = links[j][index]
         return tuple(out)
 
     # The root's keys as tuples, read like the gains, once the layer below

@@ -312,9 +312,8 @@ def optimal_target_count_sweep(
     _check_dp_fits(table, top, 0)
     check_memory(_curve_bytes(instance, top, k_max), "the sweep's curve",
                  _physical_memory())
-    solutions = _solve_budgets(table, range(top + 1))
-    best = [(solution.value, solution.targets) for solution in solutions]
-    entries = tuple(BudgetPoint(k, *best[min(k, top)]) for k in range(k_max + 1))
+    solutions = _solve_budgets(table, range(k_max + 1))
+    entries = tuple(BudgetPoint(k, s.value, s.targets) for k, s in enumerate(solutions))
     min_k = next(e.k for e in entries if e.value == entries[-1].value)
     return BudgetCurve(entries, min_k)
 

@@ -343,6 +343,31 @@ def test_back_pointer_frontier_dp_matches_the_chain_recursion():
             assert peak == expected_peak
 
 
+def test_back_pointer_frontier_dp_matches_the_chain_recursion_on_long_chains():
+    """As above at every budget from 5 to m - 1, where the witness chains
+    run through many linked back-pointers."""
+    rng = random.Random(20221019)
+    budgets = 0
+    for _ in range(60):
+        inst = random_integral_instance(
+            rng, max_agents=8, max_groups=5, max_position=14, max_capacity=5
+        )
+        table = ContributionTable(inst)
+        unit = rng.randint(1, 4)
+
+        def coarse(i, j):
+            return tuple(d // unit for d in table.group_credit_scaled(i, j))
+
+        for k in range(5, table.grid_size):
+            budgets += 1
+            for gain in (table.group_credit_scaled, coarse):
+                root, peak = frontier_dp(table, k, gain)
+                expected, expected_peak = chain_frontier_dp(table, k, gain)
+                assert list(root.items()) == list(expected.items())
+                assert peak == expected_peak
+    assert budgets >= 100
+
+
 def _grouped_instance(rng, g, n, max_position, max_capacity, offset=0, unit=1):
     """``n`` agents over ``g`` groups, each group populated, positions and
     capacities whole multiples of ``unit`` (positions shifted by ``offset``)."""

@@ -404,3 +404,26 @@ def test_the_last_frontier_layer_prunes_only_the_root(monkeypatch):
         calls.clear()
         pareto.frontier_dp(table, k, pareto.band_gains(table))
         assert len(calls) == (k - 1) * ((m - 1) + (m - w - 1)) + 1
+
+
+def test_frontier_dp_memory_does_not_grow_with_the_budget():
+    from goalpost import pareto
+
+    # A back-pointer no state reaches is freed with the states that held it,
+    # so once the states stop growing the traced peak stays flat up to the
+    # longest chain, m - 1 targets.
+    for seed in (1, 2, 3):
+        rng = random.Random(seed)
+        inst = Instance(tuple(Agent(rng.randint(0, 110), (3, 5, 7)[i % 3], i % 3)
+                              for i in range(30)), 3)
+        table = ContributionTable(inst)
+        peaks = []
+        for k in (12, table.grid_size - 1):
+            gc.collect()
+            tracemalloc.start()
+            try:
+                pareto.frontier_dp(table, k, pareto.band_gains(table))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.25 * peaks[0], (seed, table.grid_size, peaks)
