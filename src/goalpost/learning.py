@@ -17,20 +17,28 @@ independent and may run in any order.
 The candidate sets are evaluated once.  Every support point of every group
 is one outcome, and the integer batch kernel
 (:func:`goalpost.model.batch_group_totals`, through the oracle's subset
-enumeration) gives a sets × outcomes matrix of scaled gains: int64 when
+enumeration) fills a sets × outcomes matrix of scaled gains: int64 when
 every gap numerator below stays under 2**60, exact ``object`` integers
 otherwise.  The sets are counted first, and a matrix that cannot fit in
-physical memory is refused with ``SearchSpaceTooLarge`` before any set is
-evaluated.  A trial draws its sample ``DRAW_CHUNK`` values at a time and
-adds up the chunks' per-outcome ``np.bincount`` tallies, so its memory does
-not grow with the sample size (the generator's stream does not depend on how
-the draws are split).  Outcomes are listed group by group, so a group's
-outcomes are adjacent columns: a trial weighs each outcome's gains by its
-tally less its expected share, with every in-group probability over one
-common denominator, and sums each group's columns with one
-``np.add.reduceat``.  No outcomes × groups array is formed: besides the
-gains matrix, a trial holds only its weighted copy and the sets × groups
-sums.
+physical memory, together with one block of trials, is refused with
+``SearchSpaceTooLarge`` before any set is evaluated.  A sample of 2**62
+draws or more is refused with ``ParameterOutOfRange``, since no int64 tally
+counts it.
+
+Trials run in blocks of ``max(1, DRAW_CHUNK // max(n, sets × outcomes))``,
+so a block of several trials holds at most ``DRAW_CHUNK`` draws and as
+many sums, and a block of one draws ``DRAW_CHUNK`` values at a time (a
+generator's stream does not depend on how its draws are split).  Each
+trial keeps its own generator, and a block's draws become one ``(rows,
+outcomes)`` tally with one ``np.searchsorted`` and one ``np.bincount`` over
+row offsets.  Outcomes are listed group by group, so a group's outcomes are
+adjacent columns: a trial weighs each outcome's gains by its tally less its
+expected share, with every in-group probability over one common
+denominator, and consecutive groups with equally many outcomes form one
+batched matrix product over the block, giving the block's (rows, sets,
+groups) sums.  No outcomes × groups array and no weighted copy of the gains
+is formed.  Each trial's worst group and its verdict are decided by integer
+cross-multiplication; the one ``Fraction`` formed is the worst deviation.
 """
 
 from __future__ import annotations
@@ -253,26 +261,50 @@ class DeviationReport:
         }
 
 
-# Draws held in memory at once by one trial: 8 MiB of int64.
+# Draws held in memory at once by one block of trials: 8 MiB of int64.
 DRAW_CHUNK = 2**20
 
 
 def _tally_draws(
-    rng: np.random.Generator, n: int, denom: int, thresholds: Sequence[int]
+    rngs: Sequence[np.random.Generator], n: int, denom: int, thresholds: Sequence[int]
 ) -> np.ndarray:
-    """How many of ``n`` uniform draws below ``denom`` fall on each outcome;
-    outcome ``o`` takes the draws below ``thresholds[o]`` and not below the
-    one before.  Drawn ``DRAW_CHUNK`` at a time."""
-    tallies = np.zeros(len(thresholds), dtype=np.int64)
-    for start in range(0, n, DRAW_CHUNK):
-        draws = rng.integers(0, denom, size=min(DRAW_CHUNK, n - start))
-        outcome_idx = np.searchsorted(thresholds, draws, side="right")
-        tallies += np.bincount(outcome_idx, minlength=len(thresholds))
-    return tallies
+    """Row ``r``: how many of ``n`` uniform draws below ``denom`` from
+    ``rngs[r]`` fall on each outcome; outcome ``o`` takes the draws below
+    ``thresholds[o]`` and not below the one before.  Each generator draws
+    ``DRAW_CHUNK // len(rngs)`` values at a time, so a chunk of the block
+    holds at most ``DRAW_CHUNK`` draws."""
+    rows, width = len(rngs), len(thresholds)
+    # Row r's outcomes are counted in cells r · width onward.
+    offsets = np.arange(rows)[:, None] * width
+    tallies = np.zeros(rows * width, dtype=np.int64)
+    step = max(1, DRAW_CHUNK // rows)
+    for start in range(0, n, step):
+        size = min(step, n - start)
+        draws = np.stack([rng.integers(0, denom, size=size) for rng in rngs])
+        cells = np.searchsorted(thresholds, draws, side="right")
+        cells += offsets
+        tallies += np.bincount(cells.ravel(), minlength=tallies.size)
+    return tallies.reshape(rows, width)
 
 
 def _trial_rng(seed: int, trial: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, trial)))
+
+
+def _largest_sums(
+    signed: np.ndarray, runs: Sequence[tuple[int, int, np.ndarray]]
+) -> np.ndarray:
+    """``(rows, groups)``: for each row of outcome weights ``signed`` and
+    each group, the largest magnitude over the candidate sets of the
+    weighted sum of the group's gains.  A run covers the columns ``a:b`` of
+    consecutive groups of one width, with their gains as a ``(groups,
+    width, sets)`` view, so its sums are one batched product."""
+    parts = []
+    for a, b, run_gains in runs:
+        weights = signed[:, a:b].reshape(len(signed), -1, run_gains.shape[1])
+        sums = weights.transpose(1, 0, 2) @ run_gains
+        parts.append(np.abs(sums, out=sums).max(axis=2))
+    return np.concatenate(parts).T
 
 
 def deviation_experiment(
@@ -292,6 +324,11 @@ def deviation_experiment(
     (the bound hides a constant; the default demands constant 1).  For
     mixtures the gap is additionally taken over groups, and a trial where
     some group drew no samples counts as a failure outright.
+
+    Trials run in blocks, each trial with its own ``(seed, trial)``
+    generator, so the report does not depend on how they are blocked; each
+    trial's verdict is an exact integer comparison.  A sample of 2**62
+    draws or more is refused with ``ParameterOutOfRange`` before any draw.
     """
     eps = rational(epsilon)
     tolerance = rational(tolerance_factor) * eps
@@ -319,19 +356,26 @@ def deviation_experiment(
         tuple(map(Agent, positions, capacities, range(num_outcomes))), num_outcomes
     )
     grid = integer_grid(outcomes)
-    # The chunks' gains and their concatenated copy: two words a cell.
     subsets = subset_count(len(grid.levels), k, min_size=1)
-    check_memory(16 * subsets * num_outcomes, "the candidate sets' gains matrix",
-                 _physical_memory())
-    gains = np.concatenate([
-        totals for _, totals in
-        evaluated_subsets(outcomes, grid, k, min_size=1)
-    ])
+    # Trials run in blocks of `rows`, each trial with its own generator.
+    rows = min(trials, max(1, DRAW_CHUNK // max(n, subsets * num_outcomes)))
+    chunk = min(n, DRAW_CHUNK // rows)
+    # One word a cell of the gains matrix, and as much again while the
+    # kernel's chunks fill it.  Once it is filled, a block adds its draws
+    # (twice while they are stacked) and their cells, then its (rows, sets,
+    # groups) sums and a few (rows, outcomes) arrays.
+    cells = subsets * num_outcomes
+    block = rows * (3 * chunk + subsets * mixture.num_groups + 7 * num_outcomes)
+    check_memory(8 * (cells + max(cells, block)),
+                 "the candidate sets' gains matrix", _physical_memory())
+
     denom = lcm(*(w.denominator for w in weights))
     if denom >= 2**62:
         raise ParameterOutOfRange(
             "probability denominators too large for exact sampling"
         )
+    if n >= 2**62:
+        raise ParameterOutOfRange(f"a sample of {n} draws is too large to tally")
     thresholds = list(accumulate(int(w * denom) for w in weights))
 
     # In-group probabilities in whole units of 1 / den.  A trial weighs
@@ -339,34 +383,50 @@ def deviation_experiment(
     # so a group's signed sum of gains is at most 2 · n · (max gain) · den.
     den = lcm(*(q.denominator for q in probabilities))
     bound = n * den * max(1, 2 * max(grid.capacities))
-    dtype = np.int64 if gains.dtype == np.int64 and bound < INT64_SAFE else object
-    gains = gains.astype(dtype, copy=False)
+    dtype = np.int64 if grid.fits_int64 and bound < INT64_SAFE else object
+    gains = np.empty((subsets, num_outcomes), dtype=dtype)
+    filled = 0
+    for _, totals in evaluated_subsets(outcomes, grid, k, min_size=1):
+        gains[filled:filled + len(totals)] = totals
+        filled += len(totals)
     units = np.array([int(q * den) for q in probabilities], dtype=dtype)
     groups = np.array(groups)
     starts = np.flatnonzero(np.diff(groups, prepend=-1))
+    # Runs of consecutive groups with equally many outcomes (see _largest_sums).
+    widths = np.diff(starts, append=num_outcomes)
+    firsts = np.flatnonzero(np.diff(widths, prepend=0))
+    edges = [*starts[firsts].tolist(), num_outcomes]
+    runs = [
+        (a, b, gains[:, a:b].reshape(subsets, -1, width).transpose(1, 2, 0))
+        for a, b, width in zip(edges, edges[1:], widths[firsts].tolist())
+    ]
+    # A trial passes when its worst gap / (size · den · scale) is at most
+    # the tolerance, that is gap · limit.denominator <= limit.numerator · size.
+    limit = tolerance * den * grid.scale
 
-    successes = 0
-    worst = Fraction(0)
-    for trial in range(trials):
-        tallies = _tally_draws(_trial_rng(seed, trial), n, denom, thresholds)
-        tallies = tallies.astype(dtype, copy=False)
-        sizes = np.add.reduceat(tallies, starts)
-        signed = tallies * den - units * sizes[groups]
-        # The gap of group g is gaps[g] / (sizes[g] · den · scale).
-        sums = np.add.reduceat(gains * signed, starts, axis=1)
-        gaps = np.abs(sums, out=sums).max(axis=0)
-        trial_worst = max(
-            Fraction(gap, size)
-            for gap, size in zip(gaps.tolist(), sizes.tolist()) if size
-        ) / (den * grid.scale)
-        worst = max(worst, trial_worst)
-        if all(sizes) and trial_worst <= tolerance:
-            successes += 1
+    successes, worst_gap, worst_size = 0, 0, 1
+    for first in range(0, trials, rows):
+        rngs = [_trial_rng(seed, t) for t in range(first, min(first + rows, trials))]
+        tallies = _tally_draws(rngs, n, denom, thresholds).astype(dtype, copy=False)
+        sizes = np.add.reduceat(tallies, starts, axis=1)
+        signed = tallies * den - units * sizes[:, groups]
+        # gaps[r, g]: the largest |sum| over the sets of group g's signed
+        # gains in trial r, so its gap is gaps[r, g] / (sizes[r, g] · den · scale).
+        gaps = _largest_sums(signed, runs)
+        for trial_gaps, trial_sizes in zip(gaps.tolist(), sizes.tolist()):
+            gap, size = 0, 1
+            for g, s in zip(trial_gaps, trial_sizes):
+                if s and g * size > gap * s:
+                    gap, size = g, s
+            if gap * worst_size > worst_gap * size:
+                worst_gap, worst_size = gap, size
+            if all(trial_sizes) and gap * limit.denominator <= limit.numerator * size:
+                successes += 1
 
     return DeviationReport(
         seed=seed,
         n=n,
         trials=trials,
         success_fraction=Fraction(successes, trials),
-        worst_deviation=worst,
+        worst_deviation=Fraction(worst_gap, worst_size * den * grid.scale),
     )

@@ -545,6 +545,23 @@ def test_each_input_refusal_is_an_error_envelope(capsys, tmp_path, argv, documen
     assert payload["error"] == error
 
 
+def test_a_sample_too_large_to_tally_is_refused_at_once(capsys, tmp_path):
+    # Capacity 2^40 asks for about 1.1 · 10^25 draws: learn-bound states
+    # the count, and learn-experiment refuses it rather than draw for ever.
+    path = error_case(tmp_path, "huge-sample.json", {"capacity": 2**40, "support": [
+        {"position": 0, "probability": "1/2"}, {"position": 1, "probability": "1/2"}]})
+    flags = ["--instance", path, "--k", "1", "--epsilon", "1/2", "--delta", "1/10"]
+    code, bound = run_json(capsys, "learn-bound", *flags)
+    assert code == 0
+    assert bound["n"] >= 2**62
+    start = time.perf_counter()
+    code, payload = run_json(capsys, "learn-experiment", *flags, "--trials", "1",
+                             "--seed", "0")
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert payload["error"] == "ParameterOutOfRange"
+
+
 def mostly(good, bad):
     """``good`` nine times in ten, so most documents get past the parser."""
     return st.integers(0, 9).flatmap(lambda roll: bad if roll == 9 else good)

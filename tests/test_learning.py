@@ -192,7 +192,7 @@ def test_chunked_draws_tally_like_one_draw(monkeypatch):
         thresholds = cuts + [denom]
         n = int(rng.integers(0, 60))
         seed = int(rng.integers(0, 2**32))
-        got = learning._tally_draws(np.random.default_rng(seed), n, denom, thresholds)
+        got = learning._tally_draws([np.random.default_rng(seed)], n, denom, thresholds)[0]
         draws = np.random.default_rng(seed).integers(0, denom, size=n)
         want = np.bincount(
             np.searchsorted(thresholds, draws, side="right"), minlength=len(thresholds)
@@ -212,6 +212,73 @@ def test_chunked_experiment_reports_like_one_chunk(monkeypatch):
         for dist in (single, MIXTURE)
     ] == reports
     assert all(report.n > 5 for report in reports)
+
+
+@pytest.mark.parametrize("lift", [0, 2**62])
+def test_blocks_of_trials_report_like_one_trial_at_a_time(monkeypatch, lift):
+    # A lift past 2**62 sends the gain matrix down the object path.
+    def dist(*support):
+        return PositionDistribution(tuple((F(p + lift), q) for p, q in support), F(2))
+
+    single = dist((0, F(1, 3)), (1, F(2, 3)))
+    mixture = GroupMixture(((F(1, 3), dist((0, F(1)))),
+                            (F(2, 3), dist((1, F(1, 2)), (3, F(1, 2))))))
+    for d in (single, mixture):
+        want = deviation_experiment(d, 1, F(1, 2), F(1, 10), 7, 11)
+        # Each sample outnumbers the cells of the gains matrix (at most 5
+        # sets by 3 outcomes here), so a chunk of rows · n draws makes blocks
+        # of `rows` trials; the unpatched run holds all 7 in one block.
+        assert want.n > 15
+        for rows in (1, 2, 3, 7):
+            monkeypatch.setattr(learning, "DRAW_CHUNK", rows * want.n)
+            assert deviation_experiment(d, 1, F(1, 2), F(1, 10), 7, 11) == want
+        monkeypatch.undo()
+
+
+def test_a_sample_too_large_to_tally_is_refused_before_any_draw(monkeypatch):
+    def no_draws(*args):
+        raise AssertionError("drew a sample")
+
+    monkeypatch.setattr(learning, "_tally_draws", no_draws)
+    dist = PositionDistribution(((F(0), F(1, 2)), (F(1), F(1, 2))), F(2**40))
+    assert learning.required_samples(dist, F(1, 2), F(1, 10), 1) >= 2**62
+    with pytest.raises(ParameterOutOfRange, match="too large to tally"):
+        deviation_experiment(dist, 1, F(1, 2), F(1, 10), 1, 0)
+
+
+def test_the_memory_need_covers_what_a_block_of_trials_holds(monkeypatch):
+    # 300 one-point groups over 600 levels: a block's (rows, sets, groups)
+    # sums and its draws are as large as the gains matrix or larger.
+    import gc
+    import tracemalloc
+
+    from goalpost import model
+
+    needs = []
+    check = learning.check_memory
+
+    def record(need, what, have):
+        needs.append(need)
+        check(need, what, have)
+
+    monkeypatch.setattr(learning, "check_memory", record)
+    monkeypatch.setattr(model, "check_memory", record)
+    mixture = GroupMixture(tuple(
+        (F(1, 300), PositionDistribution(((F(2 * i), F(1)),), F(1))) for i in range(300)
+    ))
+    # numpy.random is imported on the first draw and stays; it is no part
+    # of what an experiment holds.
+    deviation_experiment(POINT_MASS, 1, F(1, 2), F(1, 2), 1, 0)
+    for trials in (1, 5):
+        needs.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            deviation_experiment(mixture, 1, F(1, 2), F(1, 10), trials, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(needs), (trials, peak, max(needs))
 
 
 def test_report_serialization_shape():
