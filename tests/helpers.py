@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from goalpost import Agent, CapacityModel, Instance
 
 
@@ -104,3 +106,70 @@ def chain_frontier_dp(table, k, gain):
                 peak = max(peak, len(cur[i]))
         prev = cur
     return prev[0], peak
+
+
+def rowwise_dp_rows(table, k, n_lb):
+    """Reference welfare DP, one ``eta`` row at a time: eta-major
+    ``(n_lb + 1, m + W)`` value layers, every row of a layer its own pass
+    over all levels at once, and a layer that stops at its first
+    all-infeasible row.  The top layer fills only ``[n_lb, 0]``.  Returns
+    the roots ``[eta]``, the choices ``[eta, i]`` and every value layer."""
+    from goalpost.model import integer_grid
+    from numpy.lib.stride_tricks import as_strided
+
+    def windows(row, w, m):
+        step = row.strides[0]
+        return as_strided(row, (w, m), (step, step), writeable=False)
+
+    m, w = table.grid_size, table.width
+    credits, counts = table.credits.T, table.counts.T
+    credit0, count0 = table.credit0, table.count0
+    floor = -1 - integer_grid(table.instance).bound
+    levels = np.arange(m)
+    cols = windows(np.arange(1, m + w), w, m)
+    past = np.minimum(levels + w + 1, m)
+    ranks = np.arange(w + 1, 0, -1)[:, None]
+
+    def row(prev, eta, value, pick):
+        if eta:
+            tail = prev[np.maximum(eta - count0, 0), levels]
+        else:
+            tail = prev[0, :m]
+        far = credit0 + tail
+        best = np.append(np.maximum.accumulate(far[::-1])[::-1], floor)
+        record = np.where(far == best[:m], levels, m)
+        at = np.append(np.minimum.accumulate(record[::-1])[::-1], m)
+        cand = np.empty((w + 1, m), dtype=far.dtype)
+        if eta:
+            cand[:w] = credits + prev[np.maximum(eta - counts, 0), cols]
+        else:
+            cand[:w] = credits + windows(prev[0, 1:], w, m)
+        cand[w] = best[past]
+        value[:] = cand.max(axis=0)
+        rank = ((cand == value) * ranks).max(axis=0)
+        pick[:] = np.where(rank > 1, levels + (w + 2) - rank, at[past])
+
+    dtype = table.credits.dtype
+    prev = np.full((n_lb + 1, m + w), floor, dtype=dtype)
+    prev[0, :m] = 0
+    roots, choices, layers = [prev[:, 0].copy()], [], [prev]
+    for layer in range(1, k + 1):
+        if layer == k:
+            cur = np.full((n_lb + 1, 1), floor, dtype=dtype)
+            pick = np.zeros((n_lb + 1, 1), dtype=np.int32)
+            cand = credit0[1:] + prev[np.maximum(n_lb - count0[1:], 0), levels[1:]]
+            best = int(cand.argmax())
+            cur[n_lb, 0], pick[n_lb, 0] = cand[best], best + 1
+        else:
+            cur = np.full_like(prev, floor)
+            pick = np.zeros((n_lb + 1, m), dtype=np.int32)
+            for eta in range(n_lb + 1):
+                row(prev, eta, cur[eta, :m], pick[eta])
+                if cur[eta].max() < 0:
+                    break
+            cur[0, m - 1] = 0
+        roots.append(cur[:, 0].copy())
+        choices.append(pick)
+        layers.append(cur)
+        prev = cur
+    return roots, choices, layers

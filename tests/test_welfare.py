@@ -535,15 +535,15 @@ def test_the_top_welfare_layer_fills_only_its_root(monkeypatch):
     best_targets = welfare._best_targets
     monkeypatch.setattr(welfare, "_best_targets",
                         lambda *args: calls.append(1) or best_targets(*args))
-    # One target at 6 improves every agent: no row runs out of improvers,
-    # so no layer stops early.
+    # One target at 6 improves every agent: every row is live.
     inst = Instance(tuple(Agent(p, 6) for p in (0, 1, 1, 2, 3, 5)), 1)
     table = ContributionTable(inst)
     for k in (1, 2, 4):
         for n_lb in (0, 3, 6):
             calls.clear()
             welfare._dp_rows(table, k, n_lb)
-            assert len(calls) == (k - 1) * (n_lb + 1), (k, n_lb)
+            # One call fills every row of a layer below the top.
+            assert len(calls) == k - 1, (k, n_lb)
 
 
 @pytest.mark.parametrize("cells", [1, 2, 5, 17])
@@ -563,6 +563,114 @@ def test_column_blocks_leave_the_dp_rows_unchanged(monkeypatch, rng, cells):
                     for a, b in zip(expected, got):
                         assert a.dtype == b.dtype and np.array_equal(a, b)
                 assert all(pick.dtype == np.int32 for pick in blocked[1])
+
+
+# run_rows = 1 copies runs in every block; by default these few agents'
+# blocks gather cells.
+@pytest.mark.parametrize("run_rows", [1, welfare._RUN_ROWS])
+@pytest.mark.parametrize("cells", [1, 17, welfare._BLOCK_CELLS])
+def test_batched_eta_rows_match_the_row_by_row_reference(monkeypatch, rng, cells, run_rows):
+    from helpers import random_common_instance, rowwise_dp_rows
+
+    monkeypatch.setattr(welfare, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(welfare, "_RUN_ROWS", run_rows)
+    for t in range(12):
+        if t % 2:  # common capacity on few positions: ties everywhere
+            inst = random_common_instance(rng, 1, max_agents=10, max_position=4,
+                                          max_capacity=2)
+        else:
+            inst = random_integral_instance(rng, max_agents=9, max_groups=1,
+                                            max_position=30, max_capacity=12)
+        for engine in ("numpy", "python"):
+            table = ContributionTable(inst, engine=engine)
+            if table.grid_size < 2:
+                continue
+            for n_lb in range(inst.size + 2):
+                for k in range(1, 7):
+                    roots, choices = welfare._dp_rows(table, k, n_lb)
+                    ref_roots, ref_choices, layers = rowwise_dp_rows(table, k, n_lb)
+                    assert len(roots) == len(ref_roots) and len(choices) == len(ref_choices)
+                    if n_lb == 0:
+                        assert all(a.dtype == b.dtype and np.array_equal(a, b)
+                                   for a, b in zip(roots, ref_roots))
+                        assert all(np.array_equal(a.T, b) for a, b in zip(choices, ref_choices))
+                        continue
+                    for got, ref in zip(roots, ref_roots):
+                        either = (got >= 0) | (ref >= 0)
+                        assert np.array_equal(got[either], ref[either]), (engine, n_lb, k)
+                    # Only a feasible state's choice is ever followed.
+                    for pick, ref, layer in zip(choices, ref_choices, layers[1:]):
+                        feasible = layer[:, : pick.shape[0]] >= 0
+                        assert np.array_equal(pick.T[feasible], ref[feasible]), (engine, n_lb, k)
+
+
+@pytest.mark.parametrize("run_rows", [1, welfare._RUN_ROWS])
+@pytest.mark.parametrize("cells", [1, 17, welfare._BLOCK_CELLS])
+def test_states_with_fewer_agents_above_than_eta_hold_the_floor(monkeypatch, rng, cells,
+                                                                 run_rows):
+    from goalpost.model import integer_grid
+
+    filled = []
+    best_targets = welfare._best_targets
+
+    def kept(band, prev, value, pick):
+        best_targets(band, prev, value, pick)
+        filled.append((band.pad, value.copy(), pick.copy()))
+
+    monkeypatch.setattr(welfare, "_best_targets", kept)
+    monkeypatch.setattr(welfare, "_BLOCK_CELLS", cells)
+    monkeypatch.setattr(welfare, "_RUN_ROWS", run_rows)
+    checked = 0
+    for _ in range(12):
+        inst = random_integral_instance(rng, max_agents=12, max_groups=1,
+                                        max_position=30, max_capacity=12)
+        floor = -1 - integer_grid(inst).bound
+        for engine in ("numpy", "python"):
+            table = ContributionTable(inst, engine=engine)
+            m = table.grid_size
+            if m < 2:
+                continue
+            above = np.array([sum(a.position >= table.level(i) for a in inst.agents)
+                              for i in range(m)])
+            for n_lb in sorted({1, 3, inst.size, inst.size + 1}):
+                filled.clear()
+                welfare._dp_rows(table, 4, n_lb)
+                dead = np.arange(n_lb + 1) > above[:, None]
+                for pad, value, pick in filled:
+                    assert (value[:m, pad:][dead] == floor).all(), (engine, n_lb)
+                    assert (pick[dead] == 0).all(), (engine, n_lb)
+                checked += int(dead.sum()) * len(filled)
+    assert checked > 0
+
+
+def test_dp_rows_with_far_more_eta_rows_than_offsets_hold_no_more_than_their_need(
+        monkeypatch):
+    needs = []
+    check = welfare.check_memory
+
+    def counted(need, what, have):
+        needs.append(need)
+        check(need, what, have)
+
+    monkeypatch.setattr(welfare, "check_memory", counted)
+    rng = random.Random(34)
+    # Half the agents sit on four levels and all reach the fifth, so one
+    # target improves them all: no layer forms fewer than n_lb + 1 rows.
+    for n, n_lb, base in [(400, 150, 0), (120, 50, 10**30)]:
+        agents = [Agent(base + rng.randint(0, 3), 4) for _ in range(n // 2)]
+        agents += [Agent(base + rng.randint(10, 4000), rng.randint(1, 40))
+                   for _ in range(n // 2)]
+        table = ContributionTable(Instance(tuple(agents), 1))
+        assert n_lb > 5 * table.width and table.count0.max() >= n_lb
+        needs.clear()
+        gc.collect()
+        tracemalloc.start()
+        try:
+            welfare._dp_rows(table, 3, n_lb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= max(needs), (table.engine, table.grid_size, table.width)
 
 
 def test_an_int64_bound_just_under_the_guard_never_wraps_the_floor():
