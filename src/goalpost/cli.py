@@ -3,8 +3,10 @@
 Reads a JSON instance (or distribution) file, dispatches one solver, and
 writes a machine-readable result to stdout or ``--out``.  Output is
 deterministic: keys sorted, rationals canonical, so byte-identical runs are
-byte-identical.  Domain errors exit 1 with ``{"error": code, "detail": ...}``;
-usage errors, an unwritable ``--out`` among them, exit 2.
+byte-identical.  Domain errors exit 1 with ``{"error": code, "detail": ...}``,
+and so does an allocation that fails anywhere from the load to the output
+text (``SearchSpaceTooLarge``); usage errors, an unwritable ``--out`` among
+them, exit 2.
 
 Every subcommand is one row of ``COMMANDS``: its help text, least ``--k``,
 extra flags, CSV support, input file kind and answer function.  An answer
@@ -25,7 +27,7 @@ from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
 
 from . import fairness, fptas, learning, oracle, pareto, welfare
-from .errors import GoalpostError, _physical_memory, check_memory
+from .errors import GoalpostError, _physical_memory, check_memory, refuses_exhaustion
 from .io import load_distribution, load_instance
 from .model import TargetSet, rational, rational_str, text_bytes
 
@@ -261,19 +263,25 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     # The loader is looked up here, per call, so that wrapping the module's
     # load_instance or load_distribution takes effect.
     load = load_distribution if command.distribution else load_instance
-    try:
+
+    # Any allocation that fails, from the load to the last character of the
+    # text, is refused with the envelope rather than a traceback.
+    @refuses_exhaustion(f"the {args.command} command")
+    def answer() -> str:
         fields, rows = command.answer(args, load(args.instance))
+        if args.format == "csv":
+            buffer = _io.StringIO()
+            csv.writer(buffer, lineterminator="\n").writerows(rows)
+            return buffer.getvalue()
+        payload = {"command": args.command, "k": args.k, **fields}
+        return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+
+    try:
+        text = answer()
     except GoalpostError as exc:
         envelope = {"error": exc.code, "detail": str(exc)}
         sys.stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
         return 1
-    if args.format == "csv":
-        buffer = _io.StringIO()
-        csv.writer(buffer, lineterminator="\n").writerows(rows)
-        text = buffer.getvalue()
-    else:
-        payload = {"command": args.command, "k": args.k, **fields}
-        text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
     if args.out is None:
         sys.stdout.write(text)
         return 0

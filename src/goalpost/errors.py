@@ -7,7 +7,9 @@ Building a detail must not raise: a caller's rational is written through
 allocation past physical memory.  An allocation can still fail below
 physical memory, under an address-space limit: each stage that allocates in
 proportion to its input is wrapped in :func:`refuses_exhaustion`, which
-turns that ``MemoryError`` into the same ``SearchSpaceTooLarge``.
+turns that ``MemoryError`` into the same ``SearchSpaceTooLarge``.  The CLI
+wraps each command whole, from the load to its output text, so it answers
+any exhausted allocation with the ``SearchSpaceTooLarge`` envelope.
 """
 
 from __future__ import annotations

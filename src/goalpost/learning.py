@@ -21,9 +21,10 @@ enumeration) fills a sets × outcomes matrix of scaled gains: int64 when
 every gap numerator below stays under 2**60, exact ``object`` integers
 otherwise.  The sets are counted first, and a matrix that cannot fit in
 physical memory, together with one block of trials, is refused with
-``SearchSpaceTooLarge`` before any set is evaluated.  A sample of 2**62
-draws or more is refused with ``ParameterOutOfRange``, since no int64 tally
-counts it.
+``SearchSpaceTooLarge`` before any set is evaluated, and so is any
+allocation of the experiment that fails below physical memory.  A sample
+of 2**62 draws or more is refused with ``ParameterOutOfRange``, since no
+int64 tally counts it.
 
 Trials run in blocks of ``max(1, DRAW_CHUNK // max(n, sets × outcomes))``,
 so a block of several trials holds at most ``DRAW_CHUNK`` draws and as
@@ -53,7 +54,7 @@ from typing import Callable, Iterable, Sequence, Union
 import numpy as np
 
 from .errors import EmptySample, ParameterOutOfRange, rational_detail
-from .errors import _physical_memory, check_memory
+from .errors import _physical_memory, check_memory, refuses_exhaustion
 from .model import (
     INT64_SAFE,
     Agent,
@@ -307,6 +308,7 @@ def _largest_sums(
     return np.concatenate(parts).T
 
 
+@refuses_exhaustion("the deviation experiment")
 def deviation_experiment(
     dist: Union[PositionDistribution, GroupMixture],
     k: int,
@@ -328,7 +330,8 @@ def deviation_experiment(
     Trials run in blocks, each trial with its own ``(seed, trial)``
     generator, so the report does not depend on how they are blocked; each
     trial's verdict is an exact integer comparison.  A sample of 2**62
-    draws or more is refused with ``ParameterOutOfRange`` before any draw.
+    draws or more is refused with ``ParameterOutOfRange`` before any draw,
+    and an allocation that fails anyway with ``SearchSpaceTooLarge``.
     """
     eps = rational(epsilon)
     tolerance = rational(tolerance_factor) * eps

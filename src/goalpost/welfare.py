@@ -38,15 +38,16 @@ through windows; with ``n_lb = 0`` it is the whole layer.  A head count
 leads to for ``eta = 1..n_lb`` are one contiguous run of row ``j``, from
 column ``pad + 1 - min(c, pad)``: one gather of a run per band cell fills
 every such row of a block at once (with fewer than ``_RUN_ROWS`` rows,
-runs that short are gathered cell by cell instead).  A state with more
-agents still to improve than can improve at or above its level is
-infeasible, whatever it places, so it is never formed: a block forms only
-the rows live at its first level, the most of any of its levels, and its
-other states hold the floor and choice 0.  Nor is a row formed past those
-that the layer below's root meets plus the largest head count, since no
-level meets more than the root.  Only the root of the last layer is
-formed, at the one row ``eta = n_lb`` that is read, so that layer is one
-level: row 0 of the table holds every target, so it is one O(m) pass.
+runs that short are gathered cell by cell instead).  A layer forms no
+row past one limit per level, ``min(live, cap)``.  A state with more
+agents still to improve than the ``live`` ones that can improve at or
+above its level is infeasible, whatever it places; and no level meets
+more rows than the layer below's root plus the largest head count, the
+``cap``.  A block forms the rows of its first level's limit, the most of
+any of its levels, and its other states past their own limit hold the
+floor and choice 0.  Only the root of the last layer is formed, at the
+one row ``eta = n_lb`` that is read, so that layer is one level: row 0
+of the table holds every target, so it is one O(m) pass.
 
 One driver, :func:`_solve_budgets`, serves every caller.  It runs the layers
 once, up to the largest budget asked for, holding only the value layer below
@@ -126,7 +127,6 @@ class _Band(NamedTuple):
     pad: int  # leading columns of a value layer that repeat eta = 0
     heads0: np.ndarray  # [j]: where state (j, max(eta - count0[j], 0)) sits, less eta
     live: np.ndarray  # level i can meet no row past eta = live[i]
-    batches: list[tuple[int, int, int]]  # level ranges and rows eta >= 1 of their blocks
 
 
 def _windows(row: np.ndarray, w: int, m: int) -> np.ndarray:
@@ -213,7 +213,6 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int):
     pad = _check_dp_fits(table, k, n_lb)
     width = pad + n_lb + 1
     dtype = table.credits.dtype
-    live = _live_rows(table, n_lb)
     band = _Band(
         credits=table.credits.T,
         counts=table.counts.T,
@@ -227,8 +226,7 @@ def _dp_rows(table: ContributionTable, k: int, n_lb: int):
         blocks=_blocks(np.ones(m, dtype=np.intp), w),
         pad=pad,
         heads0=np.arange(m) * width + pad - np.minimum(table.count0, pad),
-        live=live,
-        batches=_blocks(live, w),
+        live=_live_rows(table, n_lb),
     )
     prev = np.full((m + w, width), band.floor, dtype=dtype)
     prev[:m, : pad + 1] = 0
@@ -286,14 +284,14 @@ def _best_targets(band: _Band, prev, value, pick) -> None:
     and the gather copies one run per band cell; with fewer, a slab is
     ``(rows, levels)``, so that its credits and levels broadcast along the
     levels rather than along a few rows, and the gather reads cells.  Each
-    block takes one maximum
-    over its slabs; the highest rank reaching it is the lowest offset, the
-    band before the suffix, so the lowest ``j``.
+    block takes one maximum over its slabs; the highest rank reaching it is
+    the lowest offset, the band before the suffix, so the lowest ``j``.
 
-    A block forms only the rows live at its first level, and no more than
-    the layer below's root meets past ``eta = 0`` plus the largest head
-    count; it sets its later levels' rows past their own live count back
-    to the floor and pick 0."""
+    Each level has one row limit, ``min(live, cap)``: ``live`` is its live
+    count (:func:`_live_rows`), and ``cap`` the rows past ``eta = 0`` that
+    the layer below's root meets plus the largest head count.  A block
+    forms the rows of its first level's limit and sets its later levels'
+    rows past their own limit back to the floor and pick 0."""
     m, w = pick.shape[0], band.credits.shape[0]
     levels, pad = band.levels, band.pad
     if prev.shape[1] == 1:
@@ -305,24 +303,23 @@ def _best_targets(band: _Band, prev, value, pick) -> None:
     # State (j, eta) sits at flat[j * width + pad + eta], and runs[f] is the
     # run of the n_lb states from flat[f + 1] on.
     flat, width = prev.reshape(-1), prev.shape[1]
-    step, n_lb = flat.strides[0], width - pad - 1
-    runs = as_strided(flat[1:], (flat.size - n_lb, n_lb), (step, step), writeable=False)
+    n_lb = width - pad - 1
+    runs = _windows(flat[1:], flat.size - n_lb, n_lb)
     # A state meets at most its head count more improvers than the state
     # it leads to, and no level of the layer below meets more than its
-    # root: no row past that is formed.
+    # root: past that cap no row is formed, nor past a level's live count.
     cap = int(np.count_nonzero(prev[0, pad + 1 :] >= 0)) + pad
-    batches = (band.batches if cap >= band.live[0]
-               else _blocks(np.minimum(band.live, cap), w))
-    if not batches:
+    limit = np.minimum(band.live, cap)
+    blocks = _blocks(limit, w)
+    if not blocks:
         return
-    rows = batches[0][2]
-    etas = np.arange(1, rows + 1)
+    etas = np.arange(1, limit[0] + 1)
     far = flat.take(band.heads0 + etas[:, None])
     far += band.credit0
     best, at = _suffix_best(band, far)
     del far
     ranks = band.ranks[..., None]
-    for a, b, rows in batches:
+    for a, b, rows in blocks:
         # State (j, eta) of band cell (i, j) sits at flat[start + eta].
         start = np.minimum(band.counts[:, a:b], pad)
         np.subtract(band.heads[:, a:b], start, out=start)
@@ -333,21 +330,21 @@ def _best_targets(band: _Band, prev, value, pick) -> None:
             cand = np.empty((w + 1, b - a, rows), dtype=prev.dtype)
             np.add(runs[start, :rows], band.credits[:, a:b, None], out=cand[:w])
             cand[w] = best[:rows, a:b].T
-            there, past, live = levels[a:b, None], at[:rows, a:b].T, band.live[a:b, None]
+            there, past, most = levels[a:b, None], at[:rows, a:b].T, limit[a:b, None]
             eta = etas[:rows]
         else:
             cand = np.empty((w + 1, rows, b - a), dtype=prev.dtype)
             np.take(flat, start[:, None] + etas[:rows, None], out=cand[:w], mode="clip")
             cand[:w] += band.credits[:, None, a:b]
             cand[w] = best[:rows, a:b]
-            there, past, live = levels[a:b], at[:rows, a:b], band.live[a:b]
+            there, past, most = levels[a:b], at[:rows, a:b], limit[a:b]
             eta = etas[:rows, None]
         top = cand.max(axis=0)
         # W + 1 - d for the lowest offset d reaching the maximum
         rank = ((cand == top) * ranks).max(axis=0)
         chosen = np.where(rank > 1, there + (w + 2) - rank, past)
-        if band.live[b - 1] < rows:  # later levels with fewer agents above
-            dead = eta > live
+        if limit[b - 1] < rows:  # later levels with fewer rows
+            dead = eta > most
             np.copyto(top, band.floor, where=dead)
             np.copyto(chosen, 0, where=dead)
         if rows < _RUN_ROWS:
@@ -419,35 +416,60 @@ def _solve_budgets(
     return [solved.get(b) for b in clamped]
 
 
+def _solve(
+    instance: Instance, k: int, n_lb: int, table: Optional[ContributionTable]
+) -> Optional[DpSolution]:
+    """The one solve behind both public solvers: checks, validation and the
+    table, then one budget of :func:`_solve_budgets`.  Neither public solver
+    calls the other, so a trace of their calls charges each its own DP."""
+    if k < 0 or n_lb < 0:
+        raise ValueError("k and n_lb must be non-negative")
+    validate_instance(instance)
+    if n_lb > instance.size:
+        return None  # more improvers than agents
+    if table is None:
+        table = ContributionTable(instance)
+    return _solve_budgets(table, (k,), n_lb)[0]
+
+
 def max_total_improvement(
-    instance: Instance,
-    k: int,
-    *,
-    table: Optional[ContributionTable] = None,
-    engine: str = "auto",
+    instance: Instance, k: int, *, table: Optional[ContributionTable] = None
 ) -> DpSolution:
     """Best total improvement over all target sets of at most ``k`` levels.
 
     Restricting candidates to the potential-target grid is lossless, so the
     returned value is the global optimum; the returned set achieves it.
     """
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    validate_instance(instance)
-    if table is None:
-        table = ContributionTable(instance, engine=engine)
-    return _solve_budgets(table, (k,))[0]
+    return _solve(instance, k, 0, table)
+
+
+def max_total_with_min_improvers(
+    instance: Instance,
+    k: int,
+    n_lb: int,
+    *,
+    table: Optional[ContributionTable] = None,
+) -> Optional[DpSolution]:
+    """Best total improvement with at least ``n_lb`` agents strictly improving.
+
+    Returns None when no target set of size at most ``k`` can make that many
+    agents improve.  With ``n_lb == 0`` this is exactly
+    :func:`max_total_improvement`.
+    """
+    return _solve(instance, k, n_lb, table)
 
 
 def optimal_target_count_sweep(
-    instance: Instance, k_max: int, *, engine: str = "auto"
+    instance: Instance, k_max: int, *, table: Optional[ContributionTable] = None
 ) -> BudgetCurve:
     """Optimal value for every budget 0..k_max plus the least budget
-    attaining the overall maximum (values are weakly increasing)."""
+    attaining the overall maximum (values are weakly increasing).  A
+    ``table`` built for ``instance`` is used instead of building one."""
     if k_max < 0:
         raise ValueError("k_max must be non-negative")
     validate_instance(instance)
-    table = ContributionTable(instance, engine=engine)
+    if table is None:
+        table = ContributionTable(instance)
     # No chain holds more than m - 1 targets: later budgets repeat that one.
     top = min(k_max, max(table.grid_size - 1, 0))
     # Both refusals come before any layer runs, the DP's first.
@@ -472,26 +494,3 @@ def _curve_bytes(instance: Instance, top: int, k_max: int) -> int:
     text = text_bytes(instance)
     targets = top * (top + 1) // 2 + (k_max - top) * top
     return (_ENTRY_BYTES + text) * (k_max + 1) + (_TARGET_BYTES + text) * targets
-
-
-def max_total_with_min_improvers(
-    instance: Instance,
-    k: int,
-    n_lb: int,
-    *,
-    table: Optional[ContributionTable] = None,
-) -> Optional[DpSolution]:
-    """Best total improvement with at least ``n_lb`` agents strictly improving.
-
-    Returns None when no target set of size at most ``k`` can make that many
-    agents improve.  With ``n_lb == 0`` this is exactly
-    :func:`max_total_improvement`.
-    """
-    if k < 0 or n_lb < 0:
-        raise ValueError("k and n_lb must be non-negative")
-    validate_instance(instance)
-    if n_lb > instance.size:
-        return None  # more improvers than agents
-    if table is None:
-        table = ContributionTable(instance)
-    return _solve_budgets(table, (k,), n_lb)[0]

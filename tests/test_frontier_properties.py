@@ -14,6 +14,7 @@ the chain-carrying recursion they replaced (``tests/helpers.py``).
 import random
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -212,7 +213,6 @@ def test_scaling_scales_solve_and_solve_lb(inst, k, c):
 def test_welfare_and_frontier_agree_with_the_oracle(inst, k, engine):
     table = ContributionTable(inst, engine=engine)
     best = brute_force_optimum(inst, k).value
-    assert max_total_improvement(inst, k, engine=engine).value == best
     assert max_total_improvement(inst, k, table=table).value == best
     frontier = pareto_frontier(inst, k, table=table)
     assert frontier.welfare_set() == brute_force_pareto(inst, k).welfare_set()
@@ -237,11 +237,30 @@ def test_fptas_on_a_fine_grid_is_the_oracle_max_min(inst, k, c):
 @given(rational_instances(), st.integers(0, 5), ENGINES)
 @settings(max_examples=60, deadline=None)
 def test_sweep_is_non_decreasing_in_the_budget(inst, k_max, engine):
-    curve = optimal_target_count_sweep(inst, k_max, engine=engine)
+    curve = optimal_target_count_sweep(inst, k_max,
+                                       table=ContributionTable(inst, engine=engine))
     values = [entry.value for entry in curve.entries]
     assert values == sorted(values)
     assert values[min(k_max, 2)] == brute_force_optimum(inst, min(k_max, 2)).value
     assert values[curve.min_k_for_max] == values[-1]
+
+
+@given(rational_instances(), st.integers(0, 5), ENGINES, st.integers(-3, -1))
+@settings(max_examples=60, deadline=None)
+def test_every_solver_answers_a_budget_the_same_on_one_table(inst, k_max, engine, minus):
+    table = ContributionTable(inst, engine=engine)
+    curve = optimal_target_count_sweep(inst, k_max, table=table)
+    for k, entry in enumerate(curve.entries):
+        solve = max_total_improvement(inst, k, table=table)
+        lower = max_total_with_min_improvers(inst, k, 0, table=table)
+        assert (entry.value, entry.targets) == (solve.value, solve.targets) == \
+            (lower.value, lower.targets)
+    for call in (lambda: optimal_target_count_sweep(inst, minus, table=table),
+                 lambda: max_total_improvement(inst, minus, table=table),
+                 lambda: max_total_with_min_improvers(inst, minus, 0, table=table),
+                 lambda: max_total_with_min_improvers(inst, k_max, minus, table=table)):
+        with pytest.raises(ValueError):
+            call()
 
 
 @given(common_instances(), st.integers(0, 3))

@@ -348,8 +348,9 @@ def test_frontier_dp_holds_no_more_than_any_count(monkeypatch):
         pareto.frontier_dp(table, 2, pareto.band_gains(table))
     finally:
         tracemalloc.stop()
-    # The last count, at the root, covers the stored back-pointer lists and
-    # comes after the last layer's other states are released.
+    # The last count, at the root, covers the cumulative count of the
+    # back-pointers formed and comes after the last layer's other states
+    # are released.
     assert short[0] == 0
 
 

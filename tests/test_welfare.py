@@ -90,8 +90,9 @@ def test_engines_agree(rng):
     for _ in range(40):
         inst = random_integral_instance(rng)
         k = rng.randint(0, 4)
-        assert max_total_improvement(inst, k, engine="python") == \
-            max_total_improvement(inst, k, engine="numpy")
+        python, numpy = (ContributionTable(inst, engine=e) for e in ("python", "numpy"))
+        assert max_total_improvement(inst, k, table=python) == \
+            max_total_improvement(inst, k, table=numpy)
 
 
 def test_rational_data_stays_exact():
