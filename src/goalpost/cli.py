@@ -126,15 +126,19 @@ def _sweep(args, instance) -> tuple[dict, Rows]:
 _POINT_TEXT, _VALUE_TEXT = 1024, 192
 
 
-def _pareto(args, instance) -> tuple[dict, Rows]:
-    frontier = pareto.pareto_frontier(instance, args.k)
+def _frontier_points(instance, frontier: pareto.ParetoFrontier) -> list[dict]:
+    """The fields of each frontier point, refused before any is formed when
+    their JSON text would not fit in physical memory."""
     values = sum(len(p.welfare) + len(p.targets.levels) for p in frontier.points)
     need = _POINT_TEXT * len(frontier.points) + (_VALUE_TEXT + text_bytes(instance)) * values
     check_memory(need, "the frontier's text", _physical_memory())
-    points = [_point(p) for p in frontier.points]
-    rows = [[f"group_{g}" for g in range(frontier.num_groups)] + ["targets"]] + [
-        p["welfare"] + [" ".join(p["targets"])] for p in points
-    ]
+    return [_point(p) for p in frontier.points]
+
+
+def _pareto(args, instance) -> tuple[dict, Rows]:
+    points = _frontier_points(instance, pareto.pareto_frontier(instance, args.k))
+    rows = [[f"group_{g}" for g in range(instance.num_groups)] + ["targets"]]
+    rows += [p["welfare"] + [" ".join(p["targets"])] for p in points]
     return {"frontier": points}, rows
 
 
@@ -176,8 +180,8 @@ def _oracle(args, instance) -> tuple[dict, Rows]:
     if args.objective == "welfare":
         fields = _solution(oracle.brute_force_optimum(instance, args.k))
     elif args.objective == "pareto":
-        frontier = oracle.brute_force_pareto(instance, args.k)
-        fields = {"frontier": [_point(p) for p in frontier.points]}
+        fields = {"frontier": _frontier_points(
+            instance, oracle.brute_force_pareto(instance, args.k))}
     else:
         fields = {"value": rational_str(oracle.brute_force_max_min(instance, args.k))}
     return {"objective": args.objective, **fields}, None

@@ -165,11 +165,7 @@ def local_reopt(
             raise ValueError(
                 f"agent at {agent.position} is outside [{tau - delta}, {tau})"
             )
-    sub = Instance(
-        tuple(Agent(a.position, delta, 0) for a in window_agents),
-        1,
-        CapacityModel.COMMON,
-    )
+    sub = Instance.common([a.position for a in window_agents], delta)
     (level,) = max_total_improvement(sub, 1).targets.levels
     return level
 
@@ -258,10 +254,11 @@ def approx_solution(instance: Instance, k: int) -> ApproxTrace:
     g = instance.num_groups
     if k < g:
         raise BudgetBelowGroupCount(f"budget {k} is below the group count {g}")
+    # One set of labels finds the lowest empty group before any is isolated.
+    labels = {agent.group for agent in instance.agents}
+    if len(labels) < g:
+        raise EmptyGroup(f"group {next(gi for gi in range(g) if gi not in labels)} has no agents")
     solos = [instance.isolate_group(gi) for gi in range(g)]
-    for gi, solo in enumerate(solos):
-        if not solo.agents:
-            raise EmptyGroup(f"group {gi} has no agents")
     members = [instance.group_members(gi) for gi in range(g)]
     delta = instance.common_capacity
     split_budget = -(-k // g)

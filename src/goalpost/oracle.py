@@ -13,6 +13,10 @@ lexicographic within a size, and evaluated in fixed-size chunks by
 int64 when every total fits with headroom, exact ``object`` integers
 otherwise.  Only the winning sets become ``Fraction`` values and
 ``TargetSet`` objects, and the chunks keep memory flat in the subset count.
+The Pareto objective is the exception: it keeps one welfare tuple for every
+distinct tuple reached, so it counts those (at most one a subset) against
+physical memory before evaluating any set, and forms and counts its points
+with the exact frontier's own builder (``pareto._frontier``).
 The kernel applies the behavior rule itself rather than reading the credit
 table, because the oracle is the ground truth the table is tested against.
 """
@@ -21,13 +25,14 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from functools import partial
 from itertools import chain, combinations, islice
 from math import comb
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .errors import ParameterOutOfRange, SearchSpaceTooLarge
+from .errors import ParameterOutOfRange, SearchSpaceTooLarge, _physical_memory, check_memory
 from .model import (
     Instance,
     IntegerGrid,
@@ -36,7 +41,7 @@ from .model import (
     integer_grid,
     validate_instance,
 )
-from .pareto import ParetoFrontier, _frontier, prune_dominated
+from .pareto import _INT, _SLOT, ParetoFrontier, _frontier, _int_bytes, prune_dominated
 from .welfare import DpSolution
 
 DEFAULT_MAX_SUBSETS = 2_000_000
@@ -131,18 +136,45 @@ def brute_force_optimum(instance: Instance, k: int) -> DpSolution:
     return DpSolution(*_best(instance, k, lambda t: t.sum(axis=1)))
 
 
+# Bytes a collected welfare tuple holds besides its slots, ints and key
+# digits: its header (40), its dict entry (64), its witness list's header
+# (56), its packed key's header (24) and the pair and five slots that
+# ``prune_dominated`` sorts it by (96), 280 in all, rounded up for the dict's
+# spare room.  And a bytes object's header, besides its data.
+_COLLECTED, _BYTES = 320, 33
+
+
 def brute_force_pareto(instance: Instance, k: int) -> ParetoFrontier:
-    """Exhaustive non-dominated group-welfare tuples, each with a witness set."""
+    """Exhaustive non-dominated group-welfare tuples, each with a witness set
+    (the first set in enumeration order that reaches it).
+
+    Refuses past the subset cap first.  Then, before any set is evaluated,
+    it refuses (``SearchSpaceTooLarge``) when what it may collect would
+    exceed physical memory: at most one distinct tuple a subset, each with a
+    slot a group, an int a group that holds an agent (the other coordinates
+    are the shared 0), its witness list and the packed key that
+    ``prune_dominated`` forms from it; and, once, the bytes objects, one a
+    group, that packing a key goes through.  The points are formed, and
+    counted, by the exact frontier's own builder
+    (:func:`goalpost.pareto._frontier`)."""
     validate_instance(instance)
     grid = integer_grid(instance)
+    g, size = instance.num_groups, min(k, len(grid.levels))
+    # A key field is whole bytes, and no group's total passes the grid's bound.
+    held, field = len({a.group for a in instance.agents}), grid.bound.bit_length() // 8 + 1
+    each = _COLLECTED + g * _SLOT + held * _INT + size * (_SLOT + _INT) + _int_bytes(8 * field * g)
+    need = subset_count(len(grid.levels), k, 0) * each + g * (_BYTES + field + _SLOT)
+    check_memory(need, "the brute-force frontier's tuples", _physical_memory())
     achieved: dict[tuple[int, ...], list[int]] = {}
     for sets, totals in evaluated_subsets(instance, grid, k):
         for row, welfare in enumerate(map(tuple, totals.tolist())):
             if welfare not in achieved:
                 # A copy, so that no chunk outlives its turn.
                 achieved[welfare] = sets[row].tolist()
-    pairs = ((welfare, _target_set(grid, row)) for welfare, row in prune_dominated(achieved))
-    return _frontier(pairs, grid.scale, instance.num_groups)
+    # Only the kept tuples, not every one collected, live while the points form.
+    items = prune_dominated(achieved)
+    del achieved
+    return _frontier(instance, items, partial(_target_set, grid))
 
 
 def max_min_witness(instance: Instance, k: int) -> tuple[Fraction, TargetSet]:

@@ -47,6 +47,10 @@ and no tail; that layer builds no suffix union and no other state.
 The exact DP requires integral positions and capacities; rational instances
 should be rescaled by the caller or routed to the max-min approximation
 scheme instead.
+
+Every frontier's points, from this DP's root or from the oracle's brute
+force, are formed by one builder (:func:`_frontier`), which counts them
+against physical memory before forming any.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ from fractions import Fraction
 from itertools import chain, repeat
 from math import inf
 from operator import itemgetter
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .errors import NonIntegralInstance, refuses_exhaustion
 from .errors import _physical_memory, check_memory
@@ -409,30 +413,33 @@ def pareto_frontier(
     each with one witnessing TargetSet (first found in scan order).
 
     Raises ``SearchSpaceTooLarge`` before forming the points when they and
-    the root they are read from would exceed physical memory."""
+    the root they are read from would exceed physical memory (:func:`_frontier`)."""
     if k < 0:
         raise ValueError("k must be non-negative")
     validate_instance(instance)
     _require_integral(instance)
-    if table is None:
-        table = ContributionTable(instance)
+    table = ContributionTable(instance) if table is None else table
     root, _ = frontier_dp(table, k, band_gains(table))
-    check_memory(_points_bytes(table, root), "the frontier's points", _physical_memory())
-    pairs = ((welfare, table.served_targets(chain)) for welfare, chain in root.items())
-    return _frontier(pairs, table.scale, instance.num_groups)
+    return _frontier(instance, root.items(), table.served_targets)
 
 
-def _frontier(
-    pairs: Iterable[tuple[Sequence[int], TargetSet]], scale: int, num_groups: int
-) -> ParetoFrontier:
-    """The frontier of ``(welfare tuple scaled by scale, witness)`` pairs, in
-    their order."""
+def _frontier(instance: Instance, items: Collection[tuple[Sequence[int], Sequence[int]]],
+              targets_of: Callable[[Sequence[int]], TargetSet]) -> ParetoFrontier:
+    """The frontier of ``(welfare tuple, witness)`` items, in their order:
+    each tuple in units of the instance's integer grid, each witness an
+    index sequence that ``targets_of`` turns into its TargetSet.  The exact
+    DP and the oracle both form their points here.
+
+    Raises ``SearchSpaceTooLarge`` before forming any point when the points
+    and the items they are read from would exceed physical memory
+    (:func:`_points_bytes`)."""
+    check_memory(_points_bytes(instance, items), "the frontier's points", _physical_memory())
     # Zero coordinates (most of them, with many groups) share one Fraction.
-    zero = Fraction(0)
+    scale, zero = integer_grid(instance).scale, Fraction(0)
     return ParetoFrontier(tuple(
-        FrontierPoint(tuple(Fraction(w, scale) if w else zero for w in welfare), targets)
-        for welfare, targets in pairs
-    ), num_groups)
+        FrontierPoint(tuple(Fraction(w, scale) if w else zero for w in welfare), targets_of(at))
+        for welfare, at in items
+    ), instance.num_groups)
 
 
 # A point with its welfare and target tuples and its TargetSet, besides their
@@ -440,21 +447,21 @@ def _frontier(
 _POINT, _FRACTION = 1024, 48 + _SLOT
 
 
-def _points_bytes(table: ContributionTable, root: Mapping[tuple, tuple]) -> int:
-    """Bytes held while the points are formed: the root's tuples and chains
-    (counted as ``frontier_dp`` counts what it reads), and each point with a
-    slot a coordinate and a Fraction for each nonzero coordinate and each
-    target.  No point has more nonzero coordinates than there are groups
-    holding an agent, and no Fraction a larger numerator than the grid's
-    bound."""
-    instance, grid = table.instance, integer_grid(table.instance)
-    g = instance.num_groups
+def _points_bytes(instance: Instance, items: Collection[tuple[Sequence, Sequence]]) -> int:
+    """Bytes held while :func:`_frontier` forms the points of ``items``: the
+    items' welfare tuples and witnesses (counted as ``frontier_dp`` counts
+    what it reads), and each point with a slot a coordinate and a Fraction
+    for each nonzero coordinate and each target.  No point has more nonzero
+    coordinates than there are groups holding an agent, no point more
+    targets than its witness has indices, and no Fraction a larger numerator
+    than the grid's bound."""
+    grid, g = integer_grid(instance), instance.num_groups
     nonzero = min(g, len({agent.group for agent in instance.agents}))
     fraction = _FRACTION + _int_bytes(grid.bound.bit_length()) + _int_bytes(
         grid.scale.bit_length())
-    targets = sum(map(len, root.values()))
-    read = 2 * len(root) * _READ + (len(root) * g + targets) * _READ_COORDINATE
-    return read + len(root) * (_POINT + g * _SLOT + nonzero * fraction) + targets * fraction
+    targets = sum(len(witness) for _, witness in items)
+    read = 2 * len(items) * _READ + (len(items) * g + targets) * _READ_COORDINATE
+    return read + len(items) * (_POINT + g * _SLOT + nonzero * fraction) + targets * fraction
 
 
 def max_min_solution(instance: Instance, k: int) -> tuple[Fraction, FrontierPoint]:

@@ -902,7 +902,9 @@ def test_the_parser_is_built_once_for_every_call(capsys, monkeypatch):
     assert built in ([], list(cli.COMMANDS))
 
 
-def test_a_frontier_whose_text_cannot_fit_is_refused(capsys, monkeypatch, tmp_path):
+@pytest.mark.parametrize("command", [["pareto"], ["oracle", "--objective", "pareto"]],
+                         ids=["pareto", "oracle"])
+def test_a_frontier_whose_text_cannot_fit_is_refused(capsys, monkeypatch, tmp_path, command):
     from goalpost import cli
 
     # Ten agents, one per group, among 2,000 groups: the points fit, and
@@ -918,7 +920,7 @@ def test_a_frontier_whose_text_cannot_fit_is_refused(capsys, monkeypatch, tmp_pa
         check(n, what, have)
 
     monkeypatch.setattr(cli, "check_memory", counted)
-    argv = ["pareto", "--instance", path, "--k", "2"]
+    argv = [command[0], "--instance", path, "--k", "2", *command[1:]]
     code, out = run(capsys, *argv)
     assert code == 0
     assert need[0] > len(out) * 16

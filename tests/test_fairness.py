@@ -226,6 +226,27 @@ def test_pipeline_rejects_empty_groups():
         approx_solution(inst, 2)
 
 
+def test_the_lowest_empty_group_is_named_before_any_group_is_isolated(monkeypatch):
+    isolate = Instance.isolate_group
+    calls = []
+
+    def counted(self, group):
+        calls.append(group)
+        if len(calls) > 100:
+            raise AssertionError("groups were isolated past the first empty one")
+        return isolate(self, group)
+
+    monkeypatch.setattr(Instance, "isolate_group", counted)
+    # Ten agents in groups 0..9 of 10^9: group 10 is the lowest empty one.
+    inst = Instance.common([3 * i for i in range(10)], 4, groups=range(10))
+    wide = Instance(inst.agents, 10**9, CapacityModel.COMMON)
+    with pytest.raises(EmptyGroup, match="^group 10 has no agents$"):
+        approx_solution(wide, 10**9)
+    gap = Instance.common([0, 5, 9], 4, groups=[0, 2, 4])
+    with pytest.raises(EmptyGroup, match="^group 1 has no agents$"):
+        approx_solution(gap, 5)
+
+
 def test_pipeline_single_group_keeps_a_sixteenth(rng):
     for _ in range(25):
         inst = random_common_instance(rng, 1)

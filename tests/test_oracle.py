@@ -83,6 +83,41 @@ def test_caps_refuse_before_any_set_is_evaluated(monkeypatch):
         deviation_experiment(GroupMixture(((F(1), dist),)), 2, F(1, 2), F(1, 2), 3, 0)
 
 
+def test_the_brute_force_frontier_counts_its_tuples_before_any_set(monkeypatch):
+    needs = {}
+    check = oracle.check_memory
+
+    def counted(n, what, have):
+        needs[what] = n
+        check(n, what, have)
+
+    monkeypatch.setattr(oracle, "check_memory", counted)
+    # Ten agents, one per group, among 2,000 groups.
+    agents = tuple(Agent(3 * i, 4, i) for i in range(10))
+    inst = Instance(agents, 2000)
+    frontier = brute_force_pareto(inst, 2)
+    need = needs["the brute-force frontier's tuples"]
+
+    def evaluated(*args):
+        raise AssertionError("a set was evaluated before the tuples were counted")
+
+    monkeypatch.setattr(oracle, "batch_group_totals", evaluated)
+    monkeypatch.setattr(oracle, "_physical_memory", lambda: need - 1)
+    with pytest.raises(SearchSpaceTooLarge, match="the brute-force frontier's tuples"):
+        brute_force_pareto(inst, 2)
+    # 10^9 groups: 21 tuples of a slot a group pass 100 GB.
+    monkeypatch.setattr(oracle, "_physical_memory", lambda: 10**11)
+    with pytest.raises(SearchSpaceTooLarge, match="the brute-force frontier's tuples"):
+        brute_force_pareto(Instance(agents, 10**9), 1)
+    # The subset cap still refuses first.
+    monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "10")
+    with pytest.raises(SearchSpaceTooLarge, match="exceed the cap of 10"):
+        brute_force_pareto(inst, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(oracle, "_physical_memory", lambda: need)
+    assert brute_force_pareto(inst, 2) == frontier
+
+
 def test_cap_override_via_environment(monkeypatch):
     inst = Instance.common(list(range(4)), 1)
     monkeypatch.setenv("GOALPOST_MAX_SUBSETS", "3")

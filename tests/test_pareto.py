@@ -276,6 +276,37 @@ def test_frontier_points_past_physical_memory_are_refused(monkeypatch):
     assert pareto_frontier(inst, 3) == frontier
 
 
+def test_brute_force_points_past_physical_memory_are_refused(monkeypatch):
+    from goalpost import oracle, pareto
+    from goalpost.errors import SearchSpaceTooLarge
+
+    # The oracle forms its points with the exact frontier's builder, so the
+    # same count guards them.
+    inst = Instance(tuple(Agent(3 * i, 4, i) for i in range(10)), 2000)
+    need = {}
+    check = pareto.check_memory
+
+    def counted(n, what, have):
+        need[what] = n
+        check(n, what, have)
+
+    monkeypatch.setattr(pareto, "check_memory", counted)
+    frontier = brute_force_pareto(inst, 2)
+    points = need["the frontier's points"]
+    assert frontier == pareto_frontier(inst, 2)
+
+    def evaluated(*args):
+        raise AssertionError("the oracle's points were formed past their count")
+
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: points - 1)
+    monkeypatch.setattr(oracle, "_target_set", evaluated)
+    with pytest.raises(SearchSpaceTooLarge, match="the frontier's points"):
+        brute_force_pareto(inst, 2)
+    monkeypatch.undo()
+    monkeypatch.setattr(pareto, "_physical_memory", lambda: points)
+    assert brute_force_pareto(inst, 2) == frontier
+
+
 def test_band_gains_read_what_the_table_reads(rng):
     from goalpost.pareto import band_gains
 
